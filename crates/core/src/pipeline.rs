@@ -195,7 +195,8 @@ pub fn deploy(
 /// layer with the layered-graph DP of [`crate::seqdp`], which prices
 /// inter-layer PLL re-locks exactly instead of searching reserve budgets.
 ///
-/// The returned plan is validated by machine replay; the replay result is
+/// The returned plan is priced with its inter-layer switching costs (a
+/// cost-stream fold equal to a machine replay, bit for bit); that price is
 /// what the plan reports (and it can only be *faster* than the DP's
 /// conservative prediction, never slower).
 ///

@@ -3,11 +3,13 @@
 //! [`Planner::new`] pays the expensive, QoS-independent work exactly once
 //! — lowering the model, compiling the per-layer segment schedules
 //! ([`crate::schedule`]), sweeping the DSE grid (in parallel) and
-//! reducing each layer to its Pareto front. Every subsequent
-//! [`Planner::optimize`] / [`Planner::optimize_sequence`] /
-//! [`Planner::deploy`] call is a solver run plus machine replays against
-//! the cache, which is why sweeping many QoS points
-//! ([`Planner::sweep`]) costs barely more than solving one.
+//! reducing each layer to its Pareto front, then compiling one cost stream
+//! per `(layer, Pareto point)` (see [`crate::schedule`]). Every
+//! subsequent [`Planner::optimize`] / [`Planner::optimize_sequence`] call
+//! is a solver run plus cost-stream folds that price each candidate
+//! selection without a machine replay, which is why sweeping many QoS
+//! points ([`Planner::sweep`]) costs barely more than solving one.
+//! [`Planner::deploy`] replays the plan it is given on the machine.
 //!
 //! The single-shot functions ([`crate::pipeline::optimize`],
 //! [`crate::pipeline::run_dae_dvfs`], …) are thin wrappers that build a
@@ -26,7 +28,7 @@ use crate::mckp::{MckpError, MckpItem, MckpSolution};
 use crate::pareto::pareto_front;
 use crate::pipeline::{DeploymentPlan, DeploymentReport, LayerDecision};
 use crate::request::{validate_positive_time, PlanRequest, QosBudget, Solver};
-use crate::schedule::{explore_model, replay_decisions, CompiledLayer};
+use crate::schedule::{explore_model, replay_decisions, CompiledLayer, CostStreams};
 use crate::solver::{
     mckp_resweep, mckp_sweep, solve_dp_with, solve_sequence_with, Grid, SolverWorkspace,
     WorkspacePool,
@@ -65,6 +67,15 @@ pub struct Planner {
     power: Arc<PowerModel>,
     layers: Vec<CompiledLayer>,
     fronts: Vec<Vec<DsePoint>>,
+    /// The fronts as MCKP classes under the window-energy objective
+    /// (items are valued `E − P_idle·t`).
+    classes: Vec<Vec<MckpItem>>,
+    /// One cost stream per `(layer, Pareto point)`: prices a candidate
+    /// selection bit-identically to a machine replay, without one.
+    costs: CostStreams,
+    /// Per layer, the fastest Pareto point: the relock-free selection
+    /// every reserve-grid search keeps as its always-feasible candidate.
+    fastest: Vec<usize>,
     baseline: OnceLock<LoweredModel>,
     /// Pool of reusable flat DP buffers shared by every solver call on
     /// this planner; concurrent solves check out distinct workspaces, so
@@ -138,6 +149,35 @@ impl Planner {
             .map(pareto_front)
             .collect();
         debug_assert!(fronts.iter().all(|f| !f.is_empty()));
+        let idle_power = config.power.clock_gated_power.as_f64();
+        let classes = fronts
+            .iter()
+            .map(|front| {
+                front
+                    .iter()
+                    .map(|pt| MckpItem {
+                        time_secs: pt.latency_secs,
+                        energy: pt.energy.as_f64() - idle_power * pt.latency_secs,
+                    })
+                    .collect()
+            })
+            .collect();
+        let costs = CostStreams::compile(&layers, &fronts, &config, &power);
+        let fastest = fronts
+            .iter()
+            .map(|front| {
+                front
+                    .iter()
+                    .enumerate()
+                    .min_by(|a, b| {
+                        a.1.latency_secs
+                            .partial_cmp(&b.1.latency_secs)
+                            .expect("latencies are finite")
+                    })
+                    .map(|(i, _)| i)
+                    .expect("fronts are non-empty")
+            })
+            .collect();
         Ok(Planner {
             target,
             model: model.clone(),
@@ -145,6 +185,9 @@ impl Planner {
             power,
             layers,
             fronts,
+            classes,
+            costs,
+            fastest,
             baseline: OnceLock::new(),
             workspace: WorkspacePool::for_parallelism(),
         })
@@ -213,11 +256,6 @@ impl Planner {
         Ok(lowered.run_on(&mut machine).total_time_secs)
     }
 
-    /// Replays a decision sequence with full inter-layer switching costs.
-    fn execute(&self, decisions: &[LayerDecision]) -> (f64, Joules) {
-        replay_decisions(&self.layers, decisions, &self.config, &self.power)
-    }
-
     fn build_decisions(&self, choices: &[usize]) -> Vec<LayerDecision> {
         self.layers
             .iter()
@@ -236,7 +274,8 @@ impl Planner {
     ///
     /// Algorithm and numerics are identical to the historical single-shot
     /// `optimize`: a reserve-grid budget search around the relock-free DP
-    /// solution, every candidate validated by machine replay, the feasible
+    /// solution, every candidate priced with its inter-layer switching
+    /// costs (a cost-stream fold equal to a machine replay), the feasible
     /// schedule with the lowest window energy winning.
     ///
     /// # Errors
@@ -247,24 +286,6 @@ impl Planner {
     pub fn optimize(&self, qos_secs: f64) -> Result<DeploymentPlan, DaeDvfsError> {
         validate_positive_time("qos_secs", qos_secs)?;
         self.optimize_at(qos_secs, self.config.dp_resolution)
-    }
-
-    /// The MCKP classes of the cached fronts under the window-energy
-    /// objective (items are valued `E − P_idle·t`).
-    fn mckp_classes(&self) -> Vec<Vec<MckpItem>> {
-        let idle_power = self.config.power.clock_gated_power.as_f64();
-        self.fronts
-            .iter()
-            .map(|front| {
-                front
-                    .iter()
-                    .map(|pt| MckpItem {
-                        time_secs: pt.latency_secs,
-                        energy: pt.energy.as_f64() - idle_power * pt.latency_secs,
-                    })
-                    .collect()
-            })
-            .collect()
     }
 
     /// The deepest budget the reserve-grid search will ever solve for:
@@ -299,10 +320,9 @@ impl Planner {
         qos_secs: f64,
         resolution: usize,
     ) -> Result<DeploymentPlan, DaeDvfsError> {
-        let classes = self.mckp_classes();
         self.with_workspace(|ws| {
-            self.search_reserve_grid(qos_secs, &classes, resolution, |budget| {
-                solve_dp_with(&classes, budget, resolution, ws)
+            self.search_reserve_grid(qos_secs, resolution, |budget| {
+                solve_dp_with(&self.classes, budget, resolution, ws)
             })
         })
     }
@@ -314,53 +334,58 @@ impl Planner {
     /// table ([`MckpSweep::best_for`]).
     ///
     /// DSE items are relock-free, so the DP solution can overrun once
-    /// inter-layer re-locks are replayed. Rather than accepting the first
+    /// inter-layer re-locks are priced. Rather than accepting the first
     /// feasible reserve, evaluate a deterministic grid of reserves
     /// (anchored on the observed overhead of the unreserved solution) and
     /// keep the feasible schedule with the lowest *window* energy. The
     /// all-fastest selection — maximum HFO everywhere, hence relock-free
     /// — is always a candidate, so the search only fails when the
-    /// instance is genuinely infeasible. Distinct budgets frequently
-    /// backtrack to the same selection, so replays are deduplicated by
-    /// choice vector (identical choices replay identically; the first
-    /// instance already fed the search, and `consider`'s strict `<` means
-    /// duplicates can never change the winner).
+    /// instance is genuinely infeasible.
+    ///
+    /// Candidates are priced by folding the compiled cost streams
+    /// (`CostStreams::price`), which equals a machine replay of the
+    /// candidate's decisions bit for bit, and `LayerDecision`s are built
+    /// for the winner only. Distinct budgets frequently backtrack to the
+    /// same selection, so pricing is deduplicated by choice vector
+    /// (identical choices price identically; the first instance already
+    /// fed the search, and the strict `<` on the score means duplicates
+    /// can never change the winner).
     ///
     /// [`MckpSweep::best_for`]: crate::solver::MckpSweep::best_for
     fn search_reserve_grid(
         &self,
         qos_secs: f64,
-        classes: &[Vec<MckpItem>],
         resolution: usize,
         mut solve: impl FnMut(f64) -> Result<MckpSolution, MckpError>,
     ) -> Result<DeploymentPlan, DaeDvfsError> {
         let idle_power = self.config.power.clock_gated_power.as_f64();
-        let reserve_cap = (qos_secs - Planner::qos_floor(classes, resolution)).max(0.0);
+        let reserve_cap = (qos_secs - Planner::qos_floor(&self.classes, resolution)).max(0.0);
 
-        let mut best: Option<(f64, Vec<LayerDecision>, f64, Joules)> = None;
-        let mut seen: Vec<(Vec<usize>, f64, Joules)> = Vec::new();
-        let mut try_candidate = |choices: &[usize]| -> (f64, Joules) {
-            if let Some((_, latency, energy)) = seen.iter().find(|(c, ..)| c.as_slice() == choices)
-            {
-                return (*latency, *energy);
+        // Every distinct choice vector priced so far, with its latency;
+        // `best` is `(score, index into seen, latency, energy)`.
+        let mut seen: Vec<(Vec<usize>, f64)> = Vec::new();
+        let mut best: Option<(f64, usize, f64, Joules)> = None;
+        let mut try_candidate = |choices: Vec<usize>| -> f64 {
+            if let Some((_, latency)) = seen.iter().find(|(c, _)| *c == choices) {
+                return *latency;
             }
-            let decisions = self.build_decisions(choices);
-            let (latency, energy) = self.execute(&decisions);
-            seen.push((choices.to_vec(), latency, energy));
+            let (latency, energy) = self.costs.price(&choices);
             if latency <= qos_secs {
                 let score = energy.as_f64() + idle_power * (qos_secs - latency);
                 if best.as_ref().is_none_or(|(s, ..)| score < *s) {
-                    best = Some((score, decisions, latency, energy));
+                    best = Some((score, seen.len(), latency, energy));
                 }
             }
-            (latency, energy)
+            seen.push((choices, latency));
+            latency
         };
 
         // Anchor: the unreserved solution and its observed switching
         // overhead.
         let base = solve(qos_secs)?;
-        let (base_latency, _) = try_candidate(&base.choices);
-        let overhead = (base_latency - base.total_time_secs).max(0.0);
+        let base_time = base.total_time_secs;
+        let base_latency = try_candidate(base.choices);
+        let overhead = (base_latency - base_time).max(0.0);
 
         let mut reserves: Vec<f64> = [0.5, 1.0, 1.5, 2.0, 3.0]
             .iter()
@@ -382,34 +407,18 @@ impl Planner {
                 continue;
             }
             if let Ok(solution) = solve(budget) {
-                try_candidate(&solution.choices);
+                try_candidate(solution.choices);
             }
         }
 
         // Always-feasible candidate: per-layer fastest (relock-free).
-        let fastest: Vec<usize> = self
-            .fronts
-            .iter()
-            .map(|front| {
-                front
-                    .iter()
-                    .enumerate()
-                    .min_by(|a, b| {
-                        a.1.latency_secs
-                            .partial_cmp(&b.1.latency_secs)
-                            .expect("latencies are finite")
-                    })
-                    .map(|(i, _)| i)
-                    .expect("fronts are non-empty")
-            })
-            .collect();
-        let (latency, _) = try_candidate(&fastest);
+        let latency = try_candidate(self.fastest.clone());
 
         match best {
-            Some((_, decisions, latency, energy)) => Ok(DeploymentPlan {
+            Some((_, winner, latency, energy)) => Ok(DeploymentPlan {
                 model: self.model.name.clone(),
                 qos_secs,
-                decisions,
+                decisions: self.build_decisions(&seen[winner].0),
                 predicted_latency_secs: latency,
                 predicted_energy: energy,
             }),
@@ -450,8 +459,7 @@ impl Planner {
                 ws,
             )
         })?;
-        let decisions = self.build_decisions(&solution.choices);
-        let (latency, energy) = self.execute(&decisions);
+        let (latency, energy) = self.costs.price(&solution.choices);
         if latency > qos_secs {
             return Err(DaeDvfsError::Qos(crate::mckp::MckpError::Infeasible {
                 min_time_secs: latency,
@@ -461,7 +469,7 @@ impl Planner {
         Ok(DeploymentPlan {
             model: self.model.name.clone(),
             qos_secs,
-            decisions,
+            decisions: self.build_decisions(&solution.choices),
             predicted_latency_secs: latency,
             predicted_energy: energy,
         })
@@ -486,7 +494,8 @@ impl Planner {
             plan.decisions.len(),
             "plan does not match the model layer count"
         );
-        let (inference_secs, inference_energy) = self.execute(&plan.decisions);
+        let (inference_secs, inference_energy) =
+            replay_decisions(&self.layers, &plan.decisions, &self.config, &self.power);
         let remaining = plan.qos_secs - inference_secs;
         assert!(
             remaining >= -1e-9,
@@ -511,7 +520,7 @@ impl Planner {
     /// ([`crate::solver::MckpSweep::best_for`]) instead of re-running the
     /// DP per budget. The per-window work is striped over
     /// `std::thread::scope` when more than one core is available —
-    /// extractions and machine replays are independent and read-only on
+    /// extractions and candidate pricing are independent and read-only on
     /// the shared table, so results are identical to the sequential
     /// order.
     ///
@@ -632,12 +641,12 @@ impl Planner {
         max_threads: usize,
         reuse: bool,
     ) -> Vec<Result<DeploymentPlan, DaeDvfsError>> {
-        let classes = self.mckp_classes();
+        let classes = &self.classes;
         let min_time: f64 = classes
             .iter()
             .map(|c| c.iter().map(|i| i.time_secs).fold(f64::INFINITY, f64::min))
             .sum();
-        let floor = Planner::qos_floor(&classes, resolution);
+        let floor = Planner::qos_floor(classes, resolution);
         let mut slots: Vec<Option<Result<DeploymentPlan, DaeDvfsError>>> =
             vec![None; windows.len()];
 
@@ -676,14 +685,9 @@ impl Planner {
             let floor_scale = floor / resolution as f64;
             match Grid::shared(&budgets, resolution) {
                 Ok(grid) if grid.scale == floor_scale => {
-                    for (i, plan) in self.solve_on_shared_grid(
-                        &classes,
-                        &budgets,
-                        resolution,
-                        max_threads,
-                        reuse,
-                        &shared,
-                    ) {
+                    for (i, plan) in
+                        self.solve_on_shared_grid(&budgets, resolution, max_threads, reuse, &shared)
+                    {
                         slots[i] = Some(plan);
                     }
                 }
@@ -692,7 +696,7 @@ impl Planner {
         }
 
         for &(i, w) in &singles {
-            slots[i] = Some(self.sweep_single(&classes, w, floor, floor_ok, resolution));
+            slots[i] = Some(self.sweep_single(w, floor, floor_ok, resolution));
         }
 
         slots
@@ -706,7 +710,6 @@ impl Planner {
     /// reserve searches over `std::thread::scope`.
     fn solve_on_shared_grid(
         &self,
-        classes: &[Vec<MckpItem>],
         budgets: &[f64],
         resolution: usize,
         max_threads: usize,
@@ -715,9 +718,9 @@ impl Planner {
     ) -> Vec<(usize, Result<DeploymentPlan, DaeDvfsError>)> {
         let mut ws = self.workspace.take();
         let table = if reuse {
-            mckp_resweep(classes, budgets, resolution, &mut ws)
+            mckp_resweep(&self.classes, budgets, resolution, &mut ws)
         } else {
-            mckp_sweep(classes, budgets, resolution, &mut ws)
+            mckp_sweep(&self.classes, budgets, resolution, &mut ws)
         };
         let solved = match table {
             Ok(table) => {
@@ -730,9 +733,8 @@ impl Planner {
                     targets
                         .iter()
                         .map(|&(i, qos)| {
-                            let plan = self.search_reserve_grid(qos, classes, resolution, |b| {
-                                table.best_for(b)
-                            });
+                            let plan =
+                                self.search_reserve_grid(qos, resolution, |b| table.best_for(b));
                             (i, plan)
                         })
                         .collect()
@@ -747,12 +749,10 @@ impl Planner {
                                         .skip(t)
                                         .step_by(threads)
                                         .map(|&(i, qos)| {
-                                            let plan = self.search_reserve_grid(
-                                                qos,
-                                                classes,
-                                                resolution,
-                                                |b| table.best_for(b),
-                                            );
+                                            let plan =
+                                                self.search_reserve_grid(qos, resolution, |b| {
+                                                    table.best_for(b)
+                                                });
                                             (i, plan)
                                         })
                                         .collect::<Vec<_>>()
@@ -781,7 +781,6 @@ impl Planner {
     /// sweep builds, so the answer stays batch-independent.
     fn sweep_single(
         &self,
-        classes: &[Vec<MckpItem>],
         qos_secs: f64,
         floor: f64,
         floor_ok: bool,
@@ -792,8 +791,8 @@ impl Planner {
             budgets.push(floor);
         }
         self.with_workspace(|ws| {
-            let table = mckp_sweep(classes, &budgets, resolution, ws)?;
-            self.search_reserve_grid(qos_secs, classes, resolution, |b| table.best_for(b))
+            let table = mckp_sweep(&self.classes, &budgets, resolution, ws)?;
+            self.search_reserve_grid(qos_secs, resolution, |b| table.best_for(b))
         })
     }
 

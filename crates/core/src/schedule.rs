@@ -18,7 +18,10 @@
 //!   against the cache, fanning layers out across OS threads with
 //!   `std::thread::scope` when more than one core is available;
 //! * [`replay_decisions`] replays a deployment decision sequence (with
-//!   full inter-layer switching costs) against the cache.
+//!   full inter-layer switching costs) against the cache;
+//! * `CostStreams` compiles every `(layer, Pareto point)` into a cost
+//!   stream once, so the planner prices a candidate selection by folding
+//!   streams instead of replaying segments on a fresh machine.
 //!
 //! ## Invalidation rules
 //!
@@ -33,13 +36,30 @@
 //! All replays here are bit-identical to the uncached path: the segments
 //! are the same values `dae_segments` produces, and the machine arithmetic
 //! does not depend on how the segment list was obtained.
+//!
+//! ## Why the fold equals the replay, bit for bit
+//!
+//! A machine replay of a decision sequence does three things per segment:
+//! it switches SYSCLK (to the LFO for memory segments, re-programming the
+//! layer's PLL underneath; to the layer's HFO otherwise), it times the
+//! segment at the clock it now runs on, and it adds `dt` to elapsed time
+//! and `P·dt` to energy, where `P` is the power of the clock state. A cost
+//! stream stores the one input that depends on the segment — its class
+//! and its [`Machine::segment_time_at`] duration at the clock it runs on,
+//! the LFO or the point's HFO — and `CostStreams::price` drives the same
+//! [`ClockTree`] the machine drives, in the same order, with the same
+//! additions. Powers are memoized per exact [`PowerState`], which cannot
+//! change a bit because the power model is a pure function of the state.
+//! The pins `fold_matches_replay_bit_for_bit` (random choice vectors on
+//! several planners, including one that stalls on every re-lock) and
+//! `tests/plan_goldens.rs` (served plan hashes) hold the two together.
 
 use std::sync::Arc;
 
 use mcu_sim::cache::CacheConfig;
-use mcu_sim::{Machine, Segment, SegmentClass};
-use stm32_power::{Joules, PowerModel};
-use stm32_rcc::{PllConfig, SysclkConfig};
+use mcu_sim::{ClockTree, Machine, Segment, SegmentClass};
+use stm32_power::{Joules, PowerModel, PowerState};
+use stm32_rcc::{PllConfig, SwitchCostModel, SysclkConfig};
 use tinyengine::KernelProfile;
 use tinynn::LayerKind;
 
@@ -282,6 +302,165 @@ pub fn replay_decisions(
     (machine.elapsed_secs(), machine.energy())
 }
 
+/// One segment of a cost stream: whether it runs at the LFO, and for how
+/// long at the clock it runs on.
+#[derive(Debug, Clone, Copy)]
+struct CostStep {
+    memory: bool,
+    secs: f64,
+}
+
+/// One `(layer, Pareto point)`'s replay cost, compiled once: the point's
+/// HFO and, per segment, its class and its duration at the clock it runs
+/// on.
+#[derive(Debug, Clone)]
+struct CostStream {
+    hfo: PllConfig,
+    steps: Box<[CostStep]>,
+    /// The states the stream's compute and memory segments run in once
+    /// the layer's PLL has locked, with their power in watts.
+    hot: [(PowerState, f64); 2],
+}
+
+impl CostStream {
+    /// Compiles `point` of `layer`, timing segments with `timer`'s CPU and
+    /// memory models.
+    fn compile(
+        layer: &CompiledLayer,
+        point: &DsePoint,
+        config: &DseConfig,
+        timer: &Machine,
+        power: &PowerModel,
+    ) -> Self {
+        let lfo = config.modes.lfo;
+        let steps = layer
+            .schedule_for(point.granularity, &config.cache)
+            .iter()
+            .map(|seg| {
+                let memory = seg.class == SegmentClass::Memory;
+                let clock = if memory {
+                    lfo
+                } else {
+                    SysclkConfig::Pll(point.hfo)
+                };
+                CostStep {
+                    memory,
+                    secs: timer.segment_time_at(seg, clock.sysclk()),
+                }
+            })
+            .collect();
+        // The settled states, derived by the clock rules themselves: the
+        // HFO active, and the LFO active with the HFO's PLL warm behind it.
+        let mut clocks = ClockTree::new(SysclkConfig::Pll(point.hfo), config.switch_model);
+        let compute = clocks.run_state();
+        clocks.switch(lfo, 0.0);
+        clocks.prepare_pll(point.hfo, 0.0);
+        let staging = clocks.run_state();
+        CostStream {
+            hfo: point.hfo,
+            steps,
+            hot: [compute, staging].map(|s| (s, power.power(&s).as_f64())),
+        }
+    }
+
+    /// The power of `state`: from the stream's own states when it is one
+    /// of them (the common case), from the power model otherwise.
+    fn watts(&self, state: &PowerState, power: &PowerModel) -> f64 {
+        match self.hot.iter().find(|(s, _)| s == state) {
+            Some(&(_, watts)) => watts,
+            None => power.power(state).as_f64(),
+        }
+    }
+}
+
+/// Every `(layer, Pareto point)` cost stream of a model, and the clock and
+/// power models they are folded against — the replay-free pricing behind
+/// the planner's candidate search.
+///
+/// [`CostStreams::price`] returns exactly what [`replay_decisions`]
+/// returns for the same selection, bit for bit (see the module docs).
+#[derive(Debug, Clone)]
+pub(crate) struct CostStreams {
+    lfo: SysclkConfig,
+    switch_model: SwitchCostModel,
+    power: Arc<PowerModel>,
+    /// Indexed `[layer][point]`, parallel to the fronts compiled from.
+    layers: Vec<Vec<CostStream>>,
+}
+
+impl CostStreams {
+    /// Compiles one stream per point of every layer's `front`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fronts` and `layers` differ in length.
+    pub(crate) fn compile(
+        layers: &[CompiledLayer],
+        fronts: &[Vec<DsePoint>],
+        config: &DseConfig,
+        power: &Arc<PowerModel>,
+    ) -> Self {
+        assert_eq!(layers.len(), fronts.len(), "one front per compiled layer");
+        // Only the timing models matter for `segment_time_at`.
+        let timer = Machine::new(config.modes.lfo)
+            .with_cpu(config.cpu)
+            .with_memory(config.memory);
+        let streams = layers
+            .iter()
+            .zip(fronts)
+            .map(|(layer, front)| {
+                front
+                    .iter()
+                    .map(|point| CostStream::compile(layer, point, config, &timer, power))
+                    .collect()
+            })
+            .collect();
+        CostStreams {
+            lfo: config.modes.lfo,
+            switch_model: config.switch_model,
+            power: Arc::clone(power),
+            layers: streams,
+        }
+    }
+
+    /// Prices a selection (`choices[l]` indexes layer `l`'s front) as
+    /// `(latency, energy)` including every inter-layer switching cost:
+    /// the fold of the selected streams through the machine's clock rules,
+    /// equal bit for bit to [`replay_decisions`] of the same decisions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `choices` does not have one in-range index per layer.
+    pub(crate) fn price(&self, choices: &[usize]) -> (f64, Joules) {
+        assert_eq!(
+            self.layers.len(),
+            choices.len(),
+            "choice vector does not match the compiled model"
+        );
+        let first = &self.layers[0][choices[0]];
+        let mut clocks = ClockTree::new(SysclkConfig::Pll(first.hfo), self.switch_model);
+        let mut elapsed = 0.0f64;
+        let mut energy = 0.0f64;
+        for (streams, &choice) in self.layers.iter().zip(choices) {
+            let stream = &streams[choice];
+            let hfo = SysclkConfig::Pll(stream.hfo);
+            for step in stream.steps.iter() {
+                let to = if step.memory { self.lfo } else { hfo };
+                if let Some(switch) = clocks.switch(to, elapsed) {
+                    energy += stream.watts(&switch.state, &self.power) * switch.secs;
+                    elapsed += switch.secs;
+                }
+                if step.memory {
+                    clocks.prepare_pll(stream.hfo, elapsed);
+                }
+                energy += stream.watts(&clocks.run_state(), &self.power) * step.secs;
+                elapsed += step.secs;
+            }
+        }
+        (elapsed, Joules::new(energy))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,5 +553,103 @@ mod tests {
             .map(|l| explore_compiled(l, &cfg, &power))
             .collect();
         assert_eq!(parallel, sequential);
+    }
+
+    /// Background re-locks the fold of `choices` stalls on: switches onto
+    /// a PLL still locking that wait longer than a bare mux toggle.
+    fn stalls(costs: &CostStreams, choices: &[usize]) -> usize {
+        let mux = costs.switch_model.mux_toggle_secs();
+        let first = SysclkConfig::Pll(costs.layers[0][choices[0]].hfo);
+        let mut clocks = ClockTree::new(first, costs.switch_model);
+        let (mut elapsed, mut stalls) = (0.0, 0);
+        for (streams, &choice) in costs.layers.iter().zip(choices) {
+            let stream = &streams[choice];
+            for step in stream.steps.iter() {
+                let to = if step.memory {
+                    costs.lfo
+                } else {
+                    SysclkConfig::Pll(stream.hfo)
+                };
+                if let Some(switch) = clocks.switch(to, elapsed) {
+                    stalls += usize::from(!switch.relock && switch.secs > mux);
+                    elapsed += switch.secs;
+                }
+                if step.memory {
+                    clocks.prepare_pll(stream.hfo, elapsed);
+                }
+                elapsed += step.secs;
+            }
+        }
+        stalls
+    }
+
+    #[test]
+    fn fold_matches_replay_bit_for_bit() {
+        use crate::pipeline::LayerDecision;
+        use crate::target::{GenericCortexMTarget, Stm32F767Target};
+        use crate::{OperatingModes, Planner};
+        use stm32_rcc::SwitchCostModel;
+        use tinynn::models::{self, synth::SplitMix64};
+
+        const VECTORS: usize = 1_000;
+        let lean = || {
+            let modes = OperatingModes::from_sysclks(
+                Hertz::mhz(50),
+                Hertz::mhz(50),
+                &[Hertz::mhz(80), Hertz::mhz(120), Hertz::mhz(160)],
+            )
+            .expect("lean ladder reachable");
+            GenericCortexMTarget::new("cortex-m-lean").with_modes(modes)
+        };
+        // A 1 ms re-lock outlasts every staging segment of VWW-32, so each
+        // HFO change stalls on the re-lock still in flight.
+        let slow_relock = DseConfig::paper().with_switch_model(SwitchCostModel::new(1e-3, 1e-6));
+        let planners = [
+            Planner::new(&models::vww(), &DseConfig::paper()),
+            Planner::new(&models::person_detection(), &DseConfig::paper()),
+            Planner::new(&models::mobilenet_v2(), &DseConfig::paper()),
+            Planner::for_target(lean(), &models::vww_sized(32)),
+            Planner::for_target(lean(), &models::person_detection_sized(32)),
+            Planner::for_target(Stm32F767Target::with_config(slow_relock), &vww_sized(32)),
+        ];
+        let mut rng = SplitMix64::new(0xf01d);
+        let mut total_stalls = Vec::new();
+        for planner in planners {
+            let planner = planner.expect("planner builds");
+            let (layers, fronts) = (planner.layers(), planner.fronts());
+            let costs = CostStreams::compile(layers, fronts, planner.config(), planner.power());
+            let mut stalled = 0;
+            for _ in 0..VECTORS {
+                let choices: Vec<usize> = fronts
+                    .iter()
+                    .map(|f| (rng.next_u64() % f.len() as u64) as usize)
+                    .collect();
+                let decisions: Vec<LayerDecision> = layers
+                    .iter()
+                    .zip(fronts)
+                    .zip(&choices)
+                    .map(|((layer, front), &c)| LayerDecision {
+                        name: layer.profile().name.clone(),
+                        kind: layer.profile().kind,
+                        point: front[c].clone(),
+                    })
+                    .collect();
+                let replayed =
+                    replay_decisions(layers, &decisions, planner.config(), planner.power());
+                let folded = costs.price(&choices);
+                assert_eq!(
+                    (folded.0.to_bits(), folded.1.as_f64().to_bits()),
+                    (replayed.0.to_bits(), replayed.1.as_f64().to_bits()),
+                    "{}: fold {folded:?} != replay {replayed:?} for {choices:?}",
+                    planner.model().name
+                );
+                stalled += stalls(&costs, &choices);
+            }
+            total_stalls.push(stalled);
+        }
+        assert!(
+            total_stalls[5] > 0,
+            "the slow re-lock planner must exercise the stall branch: {total_stalls:?}"
+        );
     }
 }

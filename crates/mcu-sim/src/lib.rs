@@ -11,7 +11,7 @@
 //! * the 16 KB L1 D-cache rewards bounded DAE buffers and punishes
 //!   oversized ones ([`cache`]);
 //! * clock switches cost 200 µs for a PLL re-lock but almost nothing for a
-//!   mux toggle against a warm PLL ([`machine`]);
+//!   mux toggle against a warm PLL ([`clock`]);
 //! * idle strategies (busy spin / WFI / clock gating / stop) differ by
 //!   orders of magnitude in power ([`machine::IdleMode`]).
 //!
@@ -35,6 +35,7 @@
 //! ```
 
 pub mod cache;
+pub mod clock;
 pub mod cpu;
 pub mod machine;
 pub mod memory;
@@ -43,6 +44,7 @@ pub mod timer;
 pub mod trace;
 
 pub use cache::{reuse_hit_ratio, Cache, CacheConfig, CacheStats};
+pub use clock::{ClockSwitch, ClockTree};
 pub use cpu::{CpuModel, OpCounts};
 pub use machine::{IdleMode, Machine};
 pub use memory::{MemoryTiming, MemoryTraffic};

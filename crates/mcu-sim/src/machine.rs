@@ -11,6 +11,7 @@ use std::sync::{Arc, OnceLock};
 use stm32_power::{EnergyMeter, Joules, PowerModel, PowerState, Watts};
 use stm32_rcc::{Hertz, PllConfig, SwitchCostModel, SysclkConfig};
 
+use crate::clock::ClockTree;
 use crate::cpu::CpuModel;
 use crate::memory::MemoryTiming;
 use crate::segment::Segment;
@@ -60,12 +61,8 @@ pub struct Machine {
     cpu: CpuModel,
     memory: MemoryTiming,
     power: Arc<PowerModel>,
-    switch_model: SwitchCostModel,
-    clock: SysclkConfig,
-    warm_pll: Option<PllConfig>,
-    /// A PLL re-lock in flight: `(target, ready_at)`.
-    pending_pll: Option<(PllConfig, f64)>,
-    keep_pll_warm: bool,
+    /// The live clock state and the switching rules.
+    clocks: ClockTree,
     meter: EnergyMeter,
     elapsed: f64,
     switches: u64,
@@ -86,11 +83,7 @@ impl Machine {
             cpu: CpuModel::cortex_m7(),
             memory: MemoryTiming::stm32f767(),
             power: Arc::clone(DEFAULT_POWER.get_or_init(|| Arc::new(PowerModel::nucleo_f767zi()))),
-            switch_model: SwitchCostModel::default(),
-            warm_pll: clock.pll().copied(),
-            pending_pll: None,
-            clock,
-            keep_pll_warm: true,
+            clocks: ClockTree::new(clock, SwitchCostModel::default()),
             meter: EnergyMeter::new(),
             elapsed: 0.0,
             switches: 0,
@@ -119,7 +112,7 @@ impl Machine {
     }
 
     fn record_trace(&mut self, start: f64, dt: f64, kind: TraceKind, label: &str, power_mw: f64) {
-        let mhz = self.clock.sysclk().as_mhz_f64();
+        let mhz = self.sysclk().as_mhz_f64();
         if let Some(trace) = &mut self.trace {
             trace.push(start, dt, kind, label, mhz, power_mw);
         }
@@ -149,7 +142,7 @@ impl Machine {
 
     /// Replaces the switch-cost model (builder style).
     pub fn with_switch_model(mut self, model: SwitchCostModel) -> Self {
-        self.switch_model = model;
+        self.clocks = self.clocks.with_switch_model(model);
         self
     }
 
@@ -158,26 +151,23 @@ impl Machine {
     /// every PLL re-entry pays the full re-lock penalty but LFO segments
     /// avoid the PLL's standby draw.
     pub fn with_keep_pll_warm(mut self, keep: bool) -> Self {
-        self.keep_pll_warm = keep;
-        if !keep && !self.clock.uses_pll() {
-            self.warm_pll = None;
-        }
+        self.clocks = self.clocks.with_keep_pll_warm(keep);
         self
     }
 
     /// The active clock configuration.
     pub fn clock(&self) -> &SysclkConfig {
-        &self.clock
+        self.clocks.clock()
     }
 
     /// The PLL currently locked (active or warm), if any.
     pub fn warm_pll(&self) -> Option<&PllConfig> {
-        self.warm_pll.as_ref()
+        self.clocks.warm_pll()
     }
 
     /// The active SYSCLK frequency.
     pub fn sysclk(&self) -> Hertz {
-        self.clock.sysclk()
+        self.clocks.clock().sysclk()
     }
 
     /// Seconds elapsed since construction.
@@ -226,20 +216,6 @@ impl Machine {
         &self.power
     }
 
-    /// The instantaneous power state while executing. A PLL that is locked
-    /// in the background *or still locking* draws its full power.
-    fn run_state(&self) -> PowerState {
-        let background = self.warm_pll.or(self.pending_pll.map(|(p, _)| p));
-        match (background, &self.clock) {
-            (Some(w), SysclkConfig::Pll(p)) if *p == w => PowerState::Run(self.clock),
-            (Some(w), _) => PowerState::RunWarmPll {
-                sysclk: self.clock,
-                warm_pll: w,
-            },
-            (None, _) => PowerState::Run(self.clock),
-        }
-    }
-
     /// Starts re-programming the main PLL to `target` in the background
     /// while SYSCLK keeps running from a *direct* source — the overlap
     /// trick that makes per-layer HFO changes affordable: the ≈ 200 µs
@@ -252,26 +228,17 @@ impl Machine {
     /// driven by the PLL (the hardware cannot re-program the PLL that
     /// feeds SYSCLK).
     pub fn prepare_pll(&mut self, target: PllConfig) -> bool {
-        if self.clock.uses_pll() {
-            return false;
+        let started = self.clocks.prepare_pll(target, self.elapsed);
+        if started {
+            self.relocks += 1;
         }
-        if self.warm_pll == Some(target) {
-            return false;
-        }
-        if let Some((pending, _)) = self.pending_pll {
-            if pending == target {
-                return false;
-            }
-        }
-        self.warm_pll = None;
-        self.pending_pll = Some((target, self.elapsed + self.switch_model.pll_relock_secs()));
-        self.relocks += 1;
-        true
+        started
     }
 
-    /// The instantaneous executing power draw.
+    /// The instantaneous executing power draw. A PLL that is locked in the
+    /// background *or still locking* draws its full power.
     pub fn run_power(&self) -> Watts {
-        self.power.power(&self.run_state())
+        self.power.power(&self.clocks.run_state())
     }
 
     /// Wall time `segment` would take at frequency `sysclk` (pure query, no
@@ -302,57 +269,41 @@ impl Machine {
     /// Switches the clock to `to`, paying the modelled cost. Returns the
     /// switch latency.
     ///
-    /// Warm-PLL semantics: if the target PLL parameters match the locked
-    /// (active or warm) PLL, only the mux toggle is paid; otherwise the
-    /// re-lock penalty applies and the newly locked PLL becomes the warm
-    /// one. Leaving a PLL for a direct source keeps it warm when
-    /// [`Machine::with_keep_pll_warm`] is enabled (default).
+    /// The rules live in [`ClockTree::switch`]: if the target PLL
+    /// parameters match the locked (active or warm) PLL, only the mux
+    /// toggle is paid; a target still re-locking in the background stalls
+    /// for the outstanding lock time; otherwise the re-lock penalty applies
+    /// and the newly locked PLL becomes the warm one. Leaving a PLL for a
+    /// direct source keeps it warm when [`Machine::with_keep_pll_warm`] is
+    /// enabled (default).
     pub fn switch_clock(&mut self, to: SysclkConfig) -> f64 {
-        if to == self.clock {
+        let from = *self.clocks.clock();
+        let Some(switch) = self.clocks.switch(to, self.elapsed) else {
             return 0.0;
-        }
-        // Settle a matured background re-lock first.
-        if let Some((pending, ready_at)) = self.pending_pll {
-            if self.elapsed >= ready_at {
-                self.warm_pll = Some(pending);
-                self.pending_pll = None;
-            }
-        }
-        let dt = match (&to, self.warm_pll, self.pending_pll) {
-            (SysclkConfig::Pll(target), Some(warm), _) if *target == warm => {
-                self.switch_model.mux_toggle_secs()
-            }
-            (SysclkConfig::Pll(target), _, Some((pending, ready_at))) if *target == pending => {
-                // Stall for the outstanding lock time, then toggle the mux.
-                self.warm_pll = Some(pending);
-                self.pending_pll = None;
-                (ready_at - self.elapsed).max(0.0) + self.switch_model.mux_toggle_secs()
-            }
-            (SysclkConfig::Pll(_), _, _) => {
-                self.relocks += 1;
-                self.switch_model.pll_relock_secs()
-            }
-            _ => self.switch_model.mux_toggle_secs(),
         };
-        // Energy during the switch: the board sits at the (cheaper) direct
-        // source while the PLL re-locks; approximate with the destination's
-        // run power for mux toggles and the LFO-ish source power for
-        // re-locks.
-        let p_during = self.run_power();
+        let p_during = self.power.power(&switch.state);
         let start = self.elapsed;
-        self.meter.record("clock-switch", p_during, dt);
-        self.elapsed += dt;
+        self.meter.record("clock-switch", p_during, switch.secs);
+        self.elapsed += switch.secs;
         self.switches += 1;
-        let label = format!("switch -> {to}");
-        self.record_trace(start, dt, TraceKind::ClockSwitch, &label, p_during.as_mw());
-
-        match &to {
-            SysclkConfig::Pll(p) => self.warm_pll = Some(*p),
-            _ if self.keep_pll_warm => { /* keep previous warm PLL */ }
-            _ => self.warm_pll = None,
+        if switch.relock {
+            self.relocks += 1;
         }
-        self.clock = to;
-        dt
+        // The label is built only while recording; the timeline files a
+        // switch under the clock it leaves.
+        if let Some(trace) = &mut self.trace {
+            let label = format!("switch -> {to}");
+            let mhz = from.sysclk().as_mhz_f64();
+            trace.push(
+                start,
+                switch.secs,
+                TraceKind::ClockSwitch,
+                &label,
+                mhz,
+                p_during.as_mw(),
+            );
+        }
+        switch.secs
     }
 
     /// Idles for `duration_secs` in `mode`, tagging energy as `tag`.
@@ -366,8 +317,8 @@ impl Machine {
             "idle duration must be a non-negative finite time"
         );
         let state = match mode {
-            IdleMode::BusyRun => self.run_state(),
-            IdleMode::Wfi => PowerState::SleepWfi(self.clock),
+            IdleMode::BusyRun => self.clocks.run_state(),
+            IdleMode::Wfi => PowerState::SleepWfi(*self.clock()),
             IdleMode::ClockGated => PowerState::ClockGated,
             IdleMode::Stop => PowerState::Stop,
         };
@@ -382,9 +333,7 @@ impl Machine {
     /// Resets elapsed time and energy, keeping the clock state. Useful for
     /// measuring a window after a warm-up phase.
     pub fn reset_counters(&mut self) {
-        if let Some((_, ready_at)) = &mut self.pending_pll {
-            *ready_at -= self.elapsed;
-        }
+        self.clocks.rebase(self.elapsed);
         self.meter = EnergyMeter::new();
         self.elapsed = 0.0;
         self.switches = 0;
@@ -579,6 +528,10 @@ mod tests {
         assert_eq!(tl.len(), 3);
         assert!((tl.time_in(crate::trace::TraceKind::Segment) - 1e-3).abs() < 1e-9);
         assert!(tl.to_csv().contains("wait"));
+        let switch = &tl.events()[1];
+        assert_eq!(switch.kind, TraceKind::ClockSwitch);
+        assert_eq!(switch.label, format!("switch -> {}", lfo()));
+        assert_eq!(switch.sysclk_mhz, 216.0, "filed under the clock it leaves");
         // take_timeline leaves a fresh recorder behind.
         let taken = m.take_timeline().expect("taken");
         assert_eq!(taken.len(), 3);

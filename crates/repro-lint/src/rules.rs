@@ -299,6 +299,10 @@ pub fn lock_discipline(file: &SourceFile, out: &mut Vec<Finding>) {
 /// clock reads: its receipts hash the served bytes and must stay a pure
 /// function of them, with the single monotonic-clock site explicitly
 /// waivered rather than exempted wholesale.
+///
+/// `planner.rs` is pinned because it runs the reserve-grid search whose
+/// winners are pinned bit-identical (`tests/plan_goldens.rs`): a clock or
+/// hash-order read there would pick candidates nondeterministically.
 fn pinned(path: &str) -> bool {
     path.contains("crates/core/src/solver/")
         || path.contains("crates/core/src/service/")
@@ -306,6 +310,7 @@ fn pinned(path: &str) -> bool {
         || path.contains("crates/core/src/registry/")
         || path.contains("crates/core/src/obs/")
         || path.ends_with("crates/core/src/schedule.rs")
+        || path.ends_with("crates/core/src/planner.rs")
         || path.ends_with("crates/core/src/mckp.rs")
         || path.ends_with("crates/core/src/seqdp.rs")
         || path.ends_with("crates/core/src/artifact.rs")
@@ -1473,6 +1478,21 @@ impl Service {{
         let mut out = Vec::new();
         determinism(&file, &mut out);
         assert_eq!(out.len(), 1, "{out:?}");
+    }
+
+    #[test]
+    fn planner_is_inside_the_determinism_perimeter() {
+        // The reserve-grid search in planner.rs picks the winners the
+        // golden plan hashes pin, so clock reads, randomness and
+        // hash-order iteration are flagged there like in the solvers.
+        let clocky = "fn f() { let _t = Instant::now(); }";
+        let hashy = "fn f(seen: HashSet<u64>) { for s in seen {} }";
+        for src in [clocky, hashy] {
+            let file = parse("crates/core/src/planner.rs", src);
+            let mut out = Vec::new();
+            determinism(&file, &mut out);
+            assert_eq!(out.len(), 1, "{out:?}");
+        }
     }
 
     #[test]
