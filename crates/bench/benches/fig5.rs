@@ -6,7 +6,7 @@
 //! amortization the `Planner` buys.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dae_dvfs::{deploy, optimize, DseConfig, Planner};
+use dae_dvfs::{DseConfig, PlanRequest, Planner};
 use std::hint::black_box;
 use tinyengine::{qos_window, IdlePolicy, TinyEngine};
 use tinynn::models::vww;
@@ -40,10 +40,13 @@ fn bench_fig5(c: &mut Criterion) {
         })
     });
 
+    let request = PlanRequest::qos(qos);
     group.bench_function("optimize_vww_30pct_percall", |b| {
         b.iter(|| {
             black_box(
-                optimize(&model, qos, &cfg)
+                Planner::new(&model, &cfg)
+                    .expect("builds")
+                    .plan(&request)
                     .expect("optimizes")
                     .decisions
                     .len(),
@@ -64,7 +67,7 @@ fn bench_fig5(c: &mut Criterion) {
 
     let planner = Planner::for_target(repro_bench::target(), &model).expect("builds");
     group.bench_function("planner_optimize_cached", |b| {
-        b.iter(|| black_box(planner.optimize(qos).expect("optimizes").decisions.len()))
+        b.iter(|| black_box(planner.plan(&request).expect("optimizes").decisions.len()))
     });
 
     let windows: Vec<f64> = (0..10)
@@ -81,11 +84,7 @@ fn bench_fig5(c: &mut Criterion) {
         })
     });
 
-    let plan = planner.optimize(qos).expect("optimizes");
-    group.bench_function("deploy_vww_30pct", |b| {
-        b.iter(|| black_box(deploy(&model, &plan, &cfg).expect("deploys").total_energy))
-    });
-
+    let plan = planner.plan(&request).expect("optimizes");
     group.bench_function("planner_deploy_cached", |b| {
         b.iter(|| black_box(planner.deploy(&plan).expect("deploys").total_energy))
     });

@@ -1,7 +1,7 @@
 //! FIG6 bench: frequency-map construction and statistics.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dae_dvfs::{FrequencyMap, Planner};
+use dae_dvfs::{FrequencyMap, PlanRequest, Planner};
 use repro_bench::fig6_stats;
 use std::hint::black_box;
 use tinyengine::qos_window;
@@ -12,7 +12,7 @@ fn bench_fig6(c: &mut Criterion) {
     let planner = Planner::for_target(repro_bench::target(), &model).expect("planner builds");
     let baseline = planner.baseline_latency().expect("baseline");
     let plan = planner
-        .optimize(qos_window(baseline, 0.30))
+        .plan(&PlanRequest::qos(qos_window(baseline, 0.30)))
         .expect("optimizes");
 
     let mut group = c.benchmark_group("fig6");

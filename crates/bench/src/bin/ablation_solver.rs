@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release -p repro-bench --bin ablation_solver`
 
-use dae_dvfs::{solve_dp_sweep, solve_greedy, Granularity, MckpItem, Planner};
+use dae_dvfs::{solve_dp_sweep, solve_greedy, Granularity, MckpItem, PlanRequest, Planner, Solver};
 use repro_bench::{config, models, SLACKS};
 use tinyengine::qos_window;
 
@@ -67,7 +67,9 @@ fn main() {
                 }
             }
 
-            let seq = planner.optimize_sequence(qos).expect("sequence DP solves");
+            let seq = planner
+                .plan(&PlanRequest::qos(qos).with_solver(Solver::SequenceDp))
+                .expect("sequence DP solves");
             println!(
                 "{:>18} | {:>4.0}% | {:>9.3} | {:>9.3} | {:>9.3} | {:>12.3}",
                 model.name,

@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release -p repro-bench --bin ablation_switch_cost`
 
-use dae_dvfs::{DseConfig, FrequencyMap, Planner};
+use dae_dvfs::{DseConfig, FrequencyMap, PlanRequest, Planner};
 use stm32_rcc::SwitchCostModel;
 use tinyengine::{qos_window, TinyEngine};
 use tinynn::models::vww;
@@ -33,7 +33,7 @@ fn main() {
         // points too, so each cost level gets its own planner.
         let plan = Planner::new(&model, &cfg)
             .expect("planner builds")
-            .optimize(qos)
+            .plan(&PlanRequest::qos(qos))
             .expect("optimize succeeds");
         let map = FrequencyMap::from_plan(&plan, 0.30);
         let dae_layers: Vec<_> = map.rows.iter().filter(|r| r.granularity > 0).collect();

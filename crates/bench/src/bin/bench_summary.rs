@@ -4,9 +4,9 @@
 //! For each paper model, times three ways of answering a 10-point QoS
 //! sweep:
 //!
-//! 1. **historical per-call**: a fresh DSE per QoS point (`optimize()`
-//!    called 10 times);
-//! 2. **cached loop** (the PR 2 path): one [`Planner`], `optimize()` per
+//! 1. **historical per-call**: a fresh DSE per QoS point (a new
+//!    [`Planner`] and one `plan()` call, 10 times);
+//! 2. **cached loop**: one [`Planner`], `plan()` per
 //!    point — the DSE is shared but every point re-runs its own DPs;
 //! 3. **single-pass sweep**: [`Planner::sweep`] — one shared-grid DP
 //!    table answers every point's whole reserve search by extraction.
@@ -44,9 +44,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dae_dvfs::{
-    mckp_resweep, mckp_sweep, optimize, solve_dp, solve_dp_sweep, MckpItem, PlanRequest,
-    PlanServer, PlanService, Planner, ServerConfig, ServiceConfig, SolverWorkspace,
-    Stm32F767Target, Target,
+    mckp_resweep, mckp_sweep, solve_dp, solve_dp_sweep, MckpItem, PlanRequest, PlanServer,
+    PlanService, Planner, ServerConfig, ServiceConfig, SolverWorkspace, Stm32F767Target, Target,
 };
 use repro_bench::json::BENCH_SUMMARY_SCHEMA_VERSION;
 use repro_bench::{config, httpc, json, serving};
@@ -128,7 +127,11 @@ fn measure(model: &tinynn::Model, smoke: bool) -> ModelRow {
     let t1 = Instant::now();
     let loop_plans: Vec<_> = windows
         .iter()
-        .map(|&q| planner.optimize(q).expect("per-point optimize solves"))
+        .map(|&q| {
+            planner
+                .plan(&PlanRequest::qos(q))
+                .expect("per-point plan solves")
+        })
         .collect();
     let percall_loop_secs = t1.elapsed().as_secs_f64();
 
@@ -165,7 +168,10 @@ fn measure(model: &tinynn::Model, smoke: bool) -> ModelRow {
     } else {
         let t3 = Instant::now();
         for &qos in &windows {
-            optimize(model, qos, &cfg).expect("per-call optimize solves");
+            Planner::new(model, &cfg)
+                .expect("per-call planner builds")
+                .plan(&PlanRequest::qos(qos))
+                .expect("per-call plan solves");
         }
         t3.elapsed().as_secs_f64()
     };

@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --release -p repro-bench --bin fig6_frequency_map`
 
-use dae_dvfs::{FrequencyMap, Planner};
+use dae_dvfs::{FrequencyMap, PlanRequest, Planner};
 use repro_bench::{fig6_stats, models};
 use tinyengine::qos_window;
 
@@ -21,7 +21,7 @@ fn main() {
         let mut maps = Vec::new();
         for slack in [0.10, 0.50] {
             let plan = planner
-                .optimize(qos_window(baseline, slack))
+                .plan(&PlanRequest::qos(qos_window(baseline, slack)))
                 .expect("optimization succeeds");
             maps.push(FrequencyMap::from_plan(&plan, slack));
         }

@@ -5,16 +5,11 @@
 //! ([`crate::schedule`]), sweeping the DSE grid (in parallel) and
 //! reducing each layer to its Pareto front, then compiling one cost stream
 //! per `(layer, Pareto point)` (see [`crate::schedule`]). Every
-//! subsequent [`Planner::optimize`] / [`Planner::optimize_sequence`] call
-//! is a solver run plus cost-stream folds that price each candidate
-//! selection without a machine replay, which is why sweeping many QoS
-//! points ([`Planner::sweep`]) costs barely more than solving one.
-//! [`Planner::deploy`] replays the plan it is given on the machine.
-//!
-//! The single-shot functions ([`crate::pipeline::optimize`],
-//! [`crate::pipeline::run_dae_dvfs`], …) are thin wrappers that build a
-//! throw-away `Planner`; their results are bit-identical to the
-//! pre-`Planner` straight-line pipeline.
+//! subsequent [`Planner::plan`] call is a solver run plus cost-stream
+//! folds that price each candidate selection without a machine replay,
+//! which is why sweeping many QoS points ([`Planner::sweep`]) costs
+//! barely more than solving one. [`Planner::deploy`] replays the plan it
+//! is given on the machine.
 
 use std::sync::{Arc, OnceLock};
 
@@ -44,16 +39,16 @@ use crate::target::{Stm32F767Target, Target};
 /// # Examples
 ///
 /// ```
-/// use dae_dvfs::{DseConfig, Planner};
+/// use dae_dvfs::{DseConfig, PlanRequest, Planner};
 /// use tinynn::models::vww_sized;
 ///
 /// # fn main() -> Result<(), dae_dvfs::DaeDvfsError> {
 /// let model = vww_sized(32);
 /// let planner = Planner::new(&model, &DseConfig::paper())?;
 /// let baseline = planner.baseline_latency()?;
-/// // The DSE is paid once; each optimize call reuses it.
+/// // The DSE is paid once; each plan call reuses it.
 /// for slack in [0.1, 0.3, 0.5] {
-///     let plan = planner.optimize(baseline * (1.0 + slack))?;
+///     let plan = planner.plan(&PlanRequest::qos(baseline * (1.0 + slack)))?;
 ///     assert!(plan.predicted_latency_secs <= baseline * (1.0 + slack));
 /// }
 /// # Ok(())
@@ -269,25 +264,6 @@ impl Planner {
             .collect()
     }
 
-    /// Solves the MCKP for one QoS window against the cached fronts (steps
-    /// 2C–3 of the methodology; the DSE was paid at construction).
-    ///
-    /// Algorithm and numerics are identical to the historical single-shot
-    /// `optimize`: a reserve-grid budget search around the relock-free DP
-    /// solution, every candidate priced with its inter-layer switching
-    /// costs (a cost-stream fold equal to a machine replay), the feasible
-    /// schedule with the lowest window energy winning.
-    ///
-    /// # Errors
-    ///
-    /// [`DaeDvfsError::InvalidRequest`] for NaN / non-positive windows;
-    /// [`DaeDvfsError::Qos`] if even the fastest schedule misses the
-    /// window.
-    pub fn optimize(&self, qos_secs: f64) -> Result<DeploymentPlan, DaeDvfsError> {
-        validate_positive_time("qos_secs", qos_secs)?;
-        self.optimize_at(qos_secs, self.config.dp_resolution)
-    }
-
     /// The deepest budget the reserve-grid search will ever solve for:
     /// the sum of per-class fastest times scaled by a rounding margin (so
     /// the DP's ceil-rounding — at most one bucket per class — cannot
@@ -313,8 +289,8 @@ impl Planner {
         self.workspace.run(f)
     }
 
-    /// [`Planner::optimize`] at an explicit DP resolution (the request
-    /// path's override hook).
+    /// [`Solver::ReserveGrid`] at DP resolution `resolution`: the
+    /// reserve-grid budget search with the DP re-run per budget.
     fn optimize_at(
         &self,
         qos_secs: f64,
@@ -327,11 +303,11 @@ impl Planner {
         })
     }
 
-    /// The reserve-grid budget search behind [`Planner::optimize`],
+    /// The reserve-grid budget search behind [`Solver::ReserveGrid`],
     /// parameterized over how a single budget is solved: the per-call
-    /// path re-runs the DP per budget (bit-identical to the historical
-    /// pipeline), the sweep path extracts every budget from one shared
-    /// table ([`MckpSweep::best_for`]).
+    /// path ([`Planner::plan`]) re-runs the DP per budget, the sweep path
+    /// extracts every budget from one shared table
+    /// ([`MckpSweep::best_for`]).
     ///
     /// DSE items are relock-free, so the DP solution can overrun once
     /// inter-layer re-locks are priced. Rather than accepting the first
@@ -429,20 +405,9 @@ impl Planner {
         }
     }
 
-    /// Sequence-aware variant of [`Planner::optimize`]: selects one Pareto
-    /// point per layer with the layered-graph DP of [`crate::seqdp`],
-    /// which prices inter-layer PLL re-locks exactly instead of searching
-    /// reserve budgets.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Planner::optimize`].
-    pub fn optimize_sequence(&self, qos_secs: f64) -> Result<DeploymentPlan, DaeDvfsError> {
-        validate_positive_time("qos_secs", qos_secs)?;
-        self.optimize_sequence_at(qos_secs, self.config.dp_resolution)
-    }
-
-    /// [`Planner::optimize_sequence`] at an explicit DP resolution.
+    /// [`Solver::SequenceDp`] at DP resolution `resolution`: the
+    /// layered-graph DP of [`crate::seqdp`], its winner priced by a
+    /// cost-stream fold.
     fn optimize_sequence_at(
         &self,
         qos_secs: f64,
@@ -480,8 +445,7 @@ impl Planner {
     ///
     /// # Errors
     ///
-    /// Currently infallible for plans produced by this planner; the
-    /// `Result` mirrors the pipeline-level [`crate::pipeline::deploy`].
+    /// Currently infallible for plans produced by this planner.
     ///
     /// # Panics
     ///
@@ -535,7 +499,7 @@ impl Planner {
     /// caller's answer.
     ///
     /// Every returned plan is feasible and matches what
-    /// [`Planner::optimize`] would return within the solver's documented
+    /// [`Planner::plan`] would return within the solver's documented
     /// discretization bound (the shared grid resolves every budget at
     /// least as finely as the per-call grid; see [`crate::solver`]).
     /// Plans are returned in window order.
@@ -796,33 +760,40 @@ impl Planner {
         })
     }
 
-    /// Convenience: baseline latency → QoS window at `slack` → optimize →
-    /// deploy (the per-planner equivalent of
-    /// [`crate::pipeline::run_dae_dvfs`]).
+    /// Convenience: plans [`PlanRequest::slack`]`(slack)` and deploys
+    /// the plan.
     ///
     /// # Errors
     ///
     /// [`DaeDvfsError::InvalidRequest`] for NaN / non-positive slacks;
     /// propagates baseline, optimization and deployment errors.
     pub fn run(&self, slack: f64) -> Result<DeploymentReport, DaeDvfsError> {
-        validate_positive_time("slack", slack)?;
-        let qos = qos_window(self.baseline_latency()?, slack);
-        let plan = self.optimize(qos)?;
+        let plan = self.plan(&PlanRequest::slack(slack))?;
         self.deploy(&plan)
     }
 
     /// Solves a typed [`PlanRequest`] against the cached fronts: the
     /// budget is resolved (slack → window via the target baseline), the
-    /// requested solver runs at the requested resolution, and degenerate
-    /// requests are rejected before any solver work.
+    /// requested solver runs at the requested resolution (the planner's
+    /// configured one by default), and degenerate requests are rejected
+    /// before any solver work.
     ///
-    /// For a plain [`PlanRequest::qos`] request with default solver and
-    /// resolution this is exactly [`Planner::optimize`].
+    /// Both solvers minimize *window* energy: inference energy plus
+    /// clock-gated idling until the deadline (MCKP items are valued
+    /// `E − P_idle·t`), so a slower point is only chosen when it beats
+    /// finishing fast and gating the clocks.
+    /// [`Solver::ReserveGrid`] runs a reserve-grid budget search around
+    /// the relock-free DP solution, every candidate priced with its
+    /// inter-layer switching costs (a cost-stream fold equal to a machine
+    /// replay), the feasible schedule with the lowest window energy
+    /// winning. [`Solver::SequenceDp`] runs the layered-graph DP of
+    /// [`crate::seqdp`].
     ///
     /// # Errors
     ///
-    /// [`DaeDvfsError::InvalidRequest`] for degenerate knobs; otherwise
-    /// the same conditions as the selected solver.
+    /// [`DaeDvfsError::InvalidRequest`] for degenerate knobs;
+    /// [`DaeDvfsError::Qos`] if even the fastest schedule misses the
+    /// window.
     pub fn plan(&self, request: &PlanRequest) -> Result<DeploymentPlan, DaeDvfsError> {
         request.validate()?;
         let qos_secs = match request.budget() {
@@ -841,6 +812,41 @@ impl Planner {
 mod tests {
     use super::*;
     use tinynn::models::vww;
+
+    fn vww_planner() -> Planner {
+        Planner::new(&vww(), &DseConfig::paper()).unwrap()
+    }
+
+    /// Inference energy plus clock-gated idling to the end of the window:
+    /// the objective both solvers minimize.
+    fn window_energy(planner: &Planner, plan: &DeploymentPlan) -> f64 {
+        let gated = planner.config().power.clock_gated_power.as_f64();
+        plan.predicted_energy.as_f64() + gated * (plan.qos_secs - plan.predicted_latency_secs)
+    }
+
+    #[test]
+    fn relaxed_windows_do_not_cost_more_window_energy() {
+        // A relaxed window can always reuse the tighter window's schedule
+        // and idle through the extra slack, so its window energy is at
+        // most the tight window energy plus gated idling over the growth.
+        let planner = vww_planner();
+        let gated = planner.config().power.clock_gated_power.as_f64();
+        let plans: Vec<_> = [0.1, 0.3, 0.5]
+            .iter()
+            .map(|&slack| planner.plan(&PlanRequest::slack(slack)).unwrap())
+            .collect();
+        for w in plans.windows(2) {
+            let bound = window_energy(&planner, &w[0]) + gated * (w[1].qos_secs - w[0].qos_secs);
+            // The bound is exact for the MCKP itself; the reserve search
+            // above it is a heuristic (inter-layer re-locks are not part
+            // of the paper's Eq. 2-5 either), so allow a 2% slop.
+            assert!(
+                window_energy(&planner, &w[1]) <= bound * 1.02,
+                "relaxed window energy {} exceeds bound {bound}",
+                window_energy(&planner, &w[1])
+            );
+        }
+    }
 
     #[test]
     fn sweep_reuses_one_dse() {
@@ -879,7 +885,7 @@ mod tests {
         let gated = planner.config().power.clock_gated_power.as_f64();
         for (plan, &qos) in swept.iter().zip(&windows) {
             assert!(plan.predicted_latency_secs <= qos + 1e-12);
-            let solo = planner.optimize(qos).unwrap();
+            let solo = planner.plan(&PlanRequest::qos(qos)).unwrap();
             let window = |p: &DeploymentPlan| {
                 p.predicted_energy.as_f64() + gated * (qos - p.predicted_latency_secs)
             };
@@ -891,7 +897,7 @@ mod tests {
             // percent).
             assert!(
                 window(plan) <= window(&solo) * 1.005,
-                "sweep materially worse than optimize at {qos}: {} vs {}",
+                "sweep materially worse than plan at {qos}: {} vs {}",
                 window(plan),
                 window(&solo)
             );
@@ -941,7 +947,7 @@ mod tests {
         let model = vww();
         let planner = Planner::new(&model, &DseConfig::paper()).unwrap();
         let qos = qos_window(planner.baseline_latency().unwrap(), 0.3);
-        let plan = planner.optimize(qos).unwrap();
+        let plan = planner.plan(&PlanRequest::qos(qos)).unwrap();
         let report = planner.deploy(&plan).unwrap();
         assert_eq!(report.inference_secs, plan.predicted_latency_secs);
         assert_eq!(report.inference_energy, plan.predicted_energy);

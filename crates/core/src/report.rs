@@ -4,12 +4,12 @@
 use stm32_power::Joules;
 use stm32_rcc::Hertz;
 use tinyengine::{qos_window, IdlePolicy};
-use tinynn::{LayerKind, Model};
+use tinynn::LayerKind;
 
-use crate::dse::DseConfig;
 use crate::error::DaeDvfsError;
 use crate::pipeline::DeploymentPlan;
 use crate::planner::Planner;
+use crate::request::PlanRequest;
 
 /// Iso-latency energy of our approach vs the two baselines (one Fig. 5 bar
 /// group).
@@ -42,23 +42,6 @@ impl EnergyComparison {
     }
 }
 
-/// Runs the full iso-latency comparison for one model and slack level.
-///
-/// Single-shot convenience over [`Planner::compare_with_baselines`]; use
-/// the planner directly to compare several slack levels without repeating
-/// the DSE.
-///
-/// # Errors
-///
-/// Propagates pipeline and baseline errors.
-pub fn compare_with_baselines(
-    model: &Model,
-    slack: f64,
-    config: &DseConfig,
-) -> Result<EnergyComparison, DaeDvfsError> {
-    Planner::new(model, config)?.compare_with_baselines(slack)
-}
-
 impl Planner {
     /// Runs the iso-latency comparison of one slack level against the
     /// cached fronts and the cached TinyEngine lowering.
@@ -71,7 +54,7 @@ impl Planner {
         let baseline = self.baseline()?;
         let qos = qos_window(self.baseline_latency()?, slack);
 
-        let plan = self.optimize(qos)?;
+        let plan = self.plan(&PlanRequest::qos(qos))?;
         let ours = self.deploy(&plan)?;
         // The paper's plain-TinyEngine baseline keeps "the board remaining
         // in an idle state with a constant frequency of 216 MHz": WFI sleep
@@ -245,14 +228,16 @@ impl FrequencyMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::optimize;
-    use tinyengine::TinyEngine;
+    use crate::dse::DseConfig;
     use tinynn::models::vww;
+
+    fn vww_planner() -> Planner {
+        Planner::new(&vww(), &DseConfig::paper()).unwrap()
+    }
 
     #[test]
     fn comparison_has_positive_gains_at_moderate_slack() {
-        let model = vww();
-        let cmp = compare_with_baselines(&model, 0.3, &DseConfig::paper()).unwrap();
+        let cmp = vww_planner().compare_with_baselines(0.3).unwrap();
         assert!(cmp.gain_vs_tinyengine_pct() > 0.0);
         assert!(cmp.gain_vs_gated_pct() > 0.0);
         assert!(cmp.gain_vs_tinyengine_pct() > cmp.gain_vs_gated_pct());
@@ -278,12 +263,10 @@ mod tests {
 
     #[test]
     fn frequency_map_shares_sum_to_one() {
-        let model = vww();
-        let engine = TinyEngine::new();
-        let t = engine.run(&model).unwrap().total_time_secs;
-        let plan = optimize(&model, qos_window(t, 0.3), &DseConfig::paper()).unwrap();
+        let planner = vww_planner();
+        let plan = planner.plan(&PlanRequest::slack(0.3)).unwrap();
         let map = FrequencyMap::from_plan(&plan, 0.3);
-        assert_eq!(map.rows.len(), model.layer_count());
+        assert_eq!(map.rows.len(), planner.model().layer_count());
 
         let freqs: std::collections::BTreeSet<Hertz> = map.rows.iter().map(|r| r.hfo).collect();
         let total: f64 = freqs.iter().map(|&f| map.overall_share_at(f)).sum();
@@ -292,14 +275,11 @@ mod tests {
 
     #[test]
     fn tight_qos_uses_higher_frequencies() {
-        let model = vww();
-        let engine = TinyEngine::new();
-        let t = engine.run(&model).unwrap().total_time_secs;
-        let cfg = DseConfig::paper();
-        let tight =
-            FrequencyMap::from_plan(&optimize(&model, qos_window(t, 0.1), &cfg).unwrap(), 0.1);
-        let relaxed =
-            FrequencyMap::from_plan(&optimize(&model, qos_window(t, 0.5), &cfg).unwrap(), 0.5);
+        let planner = vww_planner();
+        let map = |slack| {
+            FrequencyMap::from_plan(&planner.plan(&PlanRequest::slack(slack)).unwrap(), slack)
+        };
+        let (tight, relaxed) = (map(0.1), map(0.5));
         let max = Hertz::mhz(216);
         assert!(
             tight.overall_share_at(max) >= relaxed.overall_share_at(max),

@@ -1,10 +1,8 @@
 //! The typed planning request: what to optimize, validated up front.
 //!
-//! [`PlanRequest`] replaces the positional `(model, slack, &DseConfig)`
-//! argument soup of the historical free functions with a builder that
-//! names every knob — the QoS budget (absolute window or slack over the
-//! baseline), the solver, and an optional DP-resolution override — and
-//! rejects degenerate values (`NaN`, non-positive times, zero resolution)
+//! [`PlanRequest`] is a builder that names every knob of a plan — the
+//! QoS budget (absolute window or slack over the baseline), the solver,
+//! and an optional DP-resolution override — and rejects degenerate values (`NaN`, non-positive times, zero resolution)
 //! with [`DaeDvfsError::InvalidRequest`] *before* any DSE or solver work
 //! runs, instead of silently producing a degenerate plan.
 //!
@@ -27,11 +25,11 @@ use crate::error::DaeDvfsError;
 #[non_exhaustive]
 pub enum Solver {
     /// The paper's MCKP DP with the replay-validated switching-reserve
-    /// grid ([`crate::Planner::optimize`]); the default.
+    /// grid; the default.
     #[default]
     ReserveGrid,
     /// The layered-graph sequence DP that prices inter-layer PLL re-locks
-    /// exactly ([`crate::Planner::optimize_sequence`]).
+    /// exactly ([`crate::seqdp`]).
     SequenceDp,
 }
 

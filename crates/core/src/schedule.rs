@@ -5,7 +5,7 @@
 //! HFO frequency being priced. The straight-line pipeline nevertheless
 //! re-lowered every layer for every DSE point and for every replay of a
 //! candidate schedule, rebuilding the same `Vec<Segment>` (labels
-//! included) thousands of times per `optimize` call.
+//! included) thousands of times per plan.
 //!
 //! This module is the cache layer that removes that waste:
 //!

@@ -63,10 +63,6 @@ impl PlanKey {
         let solver_tag = match self.solver {
             Solver::ReserveGrid => 0u64,
             Solver::SequenceDp => 1u64,
-            // `Solver` is non-exhaustive for future growth; new solvers
-            // must extend this tag table.
-            #[allow(unreachable_patterns)]
-            _ => u64::MAX,
         };
         let mut bytes = [0u8; 40];
         for (slot, word) in [

@@ -927,7 +927,6 @@ impl PlanService {
         let results = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             solve_batch(
                 planner,
-                self.config.mode,
                 group.solver,
                 group.dp_resolution,
                 &windows,
@@ -1005,17 +1004,14 @@ impl PlanService {
 mod tests {
     use super::*;
     use crate::dse::DseConfig;
-    use crate::service::CoalesceMode;
     use tinynn::models::vww_sized;
 
     fn small_planner() -> Arc<Planner> {
         Arc::new(Planner::new(&vww_sized(32), &DseConfig::paper()).expect("planner builds"))
     }
 
-    fn exact_config() -> ServiceConfig {
-        ServiceConfig::default()
-            .with_workers(2)
-            .with_mode(CoalesceMode::Exact)
+    fn two_workers() -> ServiceConfig {
+        ServiceConfig::default().with_workers(2)
     }
 
     #[test]
@@ -1053,12 +1049,8 @@ mod tests {
 
     #[test]
     fn queue_full_is_typed_backpressure_and_rolls_the_flight_back() {
-        let mut service = PlanService::new(
-            ServiceConfig::default()
-                .with_queue_capacity(1)
-                .with_mode(CoalesceMode::Exact),
-        )
-        .unwrap();
+        let mut service =
+            PlanService::new(ServiceConfig::default().with_queue_capacity(1)).unwrap();
         let key = service.register(small_planner());
         // Mark the service as serving without spawning workers, so queued
         // leaders stay queued and the capacity bound is observable.
@@ -1090,7 +1082,7 @@ mod tests {
 
     #[test]
     fn duplicate_requests_compute_once_and_share_the_plan() {
-        let mut service = PlanService::new(exact_config()).unwrap();
+        let mut service = PlanService::new(two_workers()).unwrap();
         let key = service.register(small_planner());
         let request = PlanRequest::slack(0.3);
         let plans = service.run(|svc| {
@@ -1118,7 +1110,7 @@ mod tests {
 
     #[test]
     fn slack_and_equivalent_window_share_one_cache_entry() {
-        let mut service = PlanService::new(exact_config()).unwrap();
+        let mut service = PlanService::new(two_workers()).unwrap();
         let planner = small_planner();
         let baseline = planner.baseline_latency().unwrap();
         let key = service.register(planner);
@@ -1135,7 +1127,7 @@ mod tests {
 
     #[test]
     fn equal_fingerprint_planners_share_the_cache() {
-        let mut service = PlanService::new(exact_config()).unwrap();
+        let mut service = PlanService::new(two_workers()).unwrap();
         let key_a = service.register(small_planner());
         let key_b = service.register(small_planner());
         service.run(|svc| {
@@ -1151,7 +1143,7 @@ mod tests {
     #[test]
     fn quantized_windows_coalesce_onto_one_entry_and_stay_feasible() {
         let quantum = 1e-4;
-        let mut service = PlanService::new(exact_config().with_qos_quantum_secs(quantum)).unwrap();
+        let mut service = PlanService::new(two_workers().with_qos_quantum_secs(quantum)).unwrap();
         let planner = small_planner();
         let baseline = planner.baseline_latency().unwrap();
         let key = service.register(planner);
@@ -1177,7 +1169,7 @@ mod tests {
 
     #[test]
     fn infeasible_requests_fail_typed_and_are_not_cached() {
-        let mut service = PlanService::new(exact_config()).unwrap();
+        let mut service = PlanService::new(two_workers()).unwrap();
         let key = service.register(small_planner());
         service.run(|svc| {
             for _ in 0..2 {
@@ -1198,7 +1190,6 @@ mod tests {
         let mut service = PlanService::new(
             ServiceConfig::default()
                 .with_workers(1)
-                .with_mode(CoalesceMode::Swept)
                 .with_batch_linger(Duration::from_millis(20)),
         )
         .unwrap();
@@ -1232,7 +1223,7 @@ mod tests {
 
     #[test]
     fn run_drains_every_admitted_ticket() {
-        let mut service = PlanService::new(exact_config()).unwrap();
+        let mut service = PlanService::new(two_workers()).unwrap();
         let key = service.register(small_planner());
         let tickets = service.run(|svc| {
             (0..4)
@@ -1259,7 +1250,7 @@ mod tests {
 
     #[test]
     fn panicking_serving_closure_drains_and_leaves_the_service_reusable() {
-        let mut service = PlanService::new(exact_config()).unwrap();
+        let mut service = PlanService::new(two_workers()).unwrap();
         let key = service.register(small_planner());
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             service.run(|svc| {
@@ -1284,7 +1275,7 @@ mod tests {
 
     #[test]
     fn hit_fast_path_counts_like_the_locked_path() {
-        let mut service = PlanService::new(exact_config()).unwrap();
+        let mut service = PlanService::new(two_workers()).unwrap();
         let key = service.register(small_planner());
         let served = service.run(|svc| {
             svc.plan(key, &PlanRequest::slack(0.3)).unwrap();
@@ -1309,7 +1300,7 @@ mod tests {
 
     #[test]
     fn locked_path_hit_serves_the_same_bytes_without_an_inline_count() {
-        let mut service = PlanService::new(exact_config()).unwrap();
+        let mut service = PlanService::new(two_workers()).unwrap();
         let planner = small_planner();
         let key = service.register(planner.clone());
         // Warm the cache with one solve.
@@ -1371,7 +1362,7 @@ mod tests {
 
     #[test]
     fn receipts_stamp_the_serving_path_and_pin_the_served_bytes() {
-        let mut service = PlanService::new(exact_config()).unwrap();
+        let mut service = PlanService::new(two_workers()).unwrap();
         let key = service.register(small_planner());
         let (cold, warm) = service.run(|svc| {
             let cold = svc.plan_receipted(key, &PlanRequest::slack(0.3)).unwrap();

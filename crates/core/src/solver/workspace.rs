@@ -5,7 +5,7 @@
 //! [`SolverWorkspace`] owns all of those buffers as row-major flat vectors
 //! and hands them to the DP cores, which resize-and-refill instead of
 //! reallocating. The [`crate::Planner`] holds a [`WorkspacePool`] of them
-//! and reuses them across `optimize` / `sweep` calls; standalone callers
+//! and reuses them across `plan` / `sweep` calls; standalone callers
 //! can create one per thread and amortize it over a batch of solves.
 //!
 //! Since the quantized-kernel rewrite the workspace also retains the

@@ -4,7 +4,9 @@
 //!
 //! Run with: `cargo run --release --example vww_deployment`
 
-use dae_dvfs::{dae_forward_depthwise, FrequencyMap, Granularity, Planner, Stm32F767Target};
+use dae_dvfs::{
+    dae_forward_depthwise, FrequencyMap, Granularity, PlanRequest, Planner, Stm32F767Target,
+};
 use tinyengine::{profile_model, qos_window, TinyEngine};
 use tinynn::models::{vww, vww_sized};
 use tinynn::{Layer, Tensor};
@@ -50,11 +52,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nDAE bit-exactness verified on {checked} depthwise layers x 6 granularities");
 
     // Steps 2-3: optimize for a 30% slack window and deploy. The planner
-    // compiles schedules + Pareto fronts once; optimize and deploy are
+    // compiles schedules + Pareto fronts once; plan and deploy are
     // solver runs and replays against that cache.
     let planner = Planner::for_target(Stm32F767Target::paper(), &model)?;
     let qos = qos_window(planner.baseline_latency()?, 0.30);
-    let plan = planner.optimize(qos)?;
+    let plan = planner.plan(&PlanRequest::qos(qos))?;
     println!(
         "\nplan: {:.2} ms predicted (QoS {:.2} ms), {:.3} mJ predicted",
         plan.predicted_latency_secs * 1e3,

@@ -1,14 +1,15 @@
 //! Multi-threaded stress tests of the concurrent plan-serving subsystem:
 //! ≥8 threads hammer one `PlanService` with overlapping requests, and
 //! every returned plan must be bit-identical to the corresponding serial
-//! reference — `Planner::plan` in `Exact` mode, a singleton
-//! `Planner::sweep` in the default `Swept` mode (batch-invariance) —
-//! with the cache counters consistent (`hits + misses == requests`).
+//! reference — a singleton `Planner::sweep` for reserve-grid requests
+//! (batch-invariance), `Planner::plan` for sequence-DP requests — with
+//! the cache counters consistent (`hits + misses == requests`).
 
 use std::sync::Arc;
 
 use dae_dvfs::{
-    CoalesceMode, DseConfig, PlanRequest, PlanService, Planner, ServiceConfig, ServiceError, Solver,
+    DeploymentPlan, DseConfig, PlanRequest, PlanService, Planner, QosBudget, ServiceConfig,
+    ServiceError, Solver,
 };
 use tinyengine::qos_window;
 use tinynn::models::vww_sized;
@@ -37,23 +38,45 @@ fn request_pool(baseline: f64) -> Vec<PlanRequest> {
     ]
 }
 
+/// The serial answer the service must reproduce for `request`: a
+/// singleton sweep for reserve-grid requests (on a planner built at the
+/// request's resolution, which has the same fronts), `Planner::plan` for
+/// sequence-DP requests.
+fn serial_reference(planner: &Planner, baseline: f64, request: &PlanRequest) -> DeploymentPlan {
+    if request.solver() != Solver::ReserveGrid {
+        return planner.plan(request).expect("serial plan solves");
+    }
+    let window = match request.budget() {
+        QosBudget::Window(window) => window,
+        QosBudget::Slack(slack) => qos_window(baseline, slack),
+        other => panic!("unexpected budget {other:?}"),
+    };
+    let resolution = request
+        .dp_resolution()
+        .unwrap_or(planner.config().dp_resolution);
+    Planner::new(
+        planner.model(),
+        &planner.config().clone().with_dp_resolution(resolution),
+    )
+    .expect("planner builds")
+    .sweep([window])
+    .expect("singleton sweep solves")
+    .remove(0)
+}
+
 #[test]
-fn exact_mode_is_bit_identical_to_serial_planner_plan_under_contention() {
+fn service_is_bit_identical_to_serial_references_under_contention() {
     let planner = planner();
     let baseline = planner.baseline_latency().expect("baseline runs");
     let pool = request_pool(baseline);
     // Serial references, computed before any service exists.
     let references: Vec<_> = pool
         .iter()
-        .map(|request| planner.plan(request).expect("serial plan solves"))
+        .map(|request| serial_reference(&planner, baseline, request))
         .collect();
 
-    let mut service = PlanService::new(
-        ServiceConfig::default()
-            .with_workers(4)
-            .with_mode(CoalesceMode::Exact),
-    )
-    .expect("config validates");
+    let mut service =
+        PlanService::new(ServiceConfig::default().with_workers(4)).expect("config validates");
     let key = service.register(planner.clone());
 
     service.run(|svc| {
@@ -69,7 +92,7 @@ fn exact_mode_is_bit_identical_to_serial_planner_plan_under_contention() {
                             .expect("service answers the request");
                         assert_eq!(
                             *plan, references[index],
-                            "service plan diverged from serial Planner::plan \
+                            "service plan diverged from its serial reference \
                              for request {index}"
                         );
                     }
@@ -120,7 +143,6 @@ fn swept_mode_is_bit_identical_to_singleton_sweeps_under_contention() {
     let mut service = PlanService::new(
         ServiceConfig::default()
             .with_workers(4)
-            .with_mode(CoalesceMode::Swept)
             // Tiny cache: constant eviction pressure forces re-solves in
             // ever-different batch compositions.
             .with_cache_capacity(2)

@@ -4,9 +4,9 @@
 //! The compiled-schedule refactor must not move a single bit: this test
 //! carries an independent re-implementation of the historical path — fresh
 //! DAE lowering for every DSE point and every replay, no schedule cache,
-//! no shared power model — and asserts that `Planner::optimize` /
-//! `Planner::optimize_sequence` produce identical plans for VWW, person
-//! detection and MobileNet-V2 at the paper's three slack levels.
+//! no shared power model — and asserts that `Planner::plan` produces
+//! identical plans on both solvers for VWW, person detection and
+//! MobileNet-V2 at the paper's three slack levels.
 
 use dae_dvfs::{
     dae_segments, pareto_front, solve_dp, solve_sequence, DeploymentPlan, DseConfig, DsePoint,
@@ -290,7 +290,9 @@ fn planner_optimize_matches_pre_refactor_path_on_all_models() {
             Planner::for_target(Stm32F767Target::paper(), &model).expect("planner builds");
         for slack in [0.1, 0.3, 0.5] {
             let qos = qos_window(baseline, slack);
-            let cached = planner.optimize(qos).expect("planner optimizes");
+            let cached = planner
+                .plan(&PlanRequest::qos(qos))
+                .expect("planner optimizes");
             let fresh = legacy_optimize(&model, qos, &config);
             assert_plans_identical(&cached, &fresh, &format!("{} @ {slack}", model.name));
         }
@@ -298,52 +300,34 @@ fn planner_optimize_matches_pre_refactor_path_on_all_models() {
 }
 
 #[test]
-fn target_path_and_request_surface_match_legacy_free_functions() {
-    // The full matrix the issue pins: VWW / person detection / MobileNet-V2
-    // at slacks 0.1 / 0.3 / 0.5 — legacy free functions vs `Planner::new`
-    // vs `Planner::for_target(Stm32F767Target::paper())` vs the typed
-    // `PlanRequest` surface, all bit-identical.
+fn target_path_and_request_surface_agree_on_both_solvers() {
+    // VWW / person detection / MobileNet-V2 at slacks 0.1 / 0.3 / 0.5 on
+    // both solvers: `Planner::new` vs
+    // `Planner::for_target(Stm32F767Target::paper())`, window vs slack
+    // requests, all bit-identical, and so are their deployment reports.
     let config = DseConfig::paper();
     for model in tinynn::models::paper_models() {
         let via_new = Planner::new(&model, &config).expect("Planner::new builds");
         let via_target =
             Planner::for_target(Stm32F767Target::paper(), &model).expect("for_target builds");
         let baseline = via_target.baseline_latency().expect("baseline runs");
-        for slack in [0.1, 0.3, 0.5] {
-            let qos = qos_window(baseline, slack);
-            let context = format!("{} @ {slack}", model.name);
-
-            let wrapper = dae_dvfs::optimize(&model, qos, &config).expect("wrapper optimizes");
-            let new_plan = via_new.optimize(qos).expect("new optimizes");
-            let target_plan = via_target.optimize(qos).expect("target optimizes");
-            let via_qos_request = via_target
-                .plan(&PlanRequest::qos(qos))
-                .expect("qos request solves");
-            let via_slack_request = via_target
-                .plan(&PlanRequest::slack(slack))
-                .expect("slack request solves");
-            assert_plans_identical(&new_plan, &wrapper, &context);
-            assert_plans_identical(&target_plan, &wrapper, &context);
-            assert_plans_identical(&via_qos_request, &wrapper, &context);
-            assert_plans_identical(&via_slack_request, &wrapper, &context);
-
-            // The deployment report agrees between wrapper and target path.
-            let wrapper_report =
-                dae_dvfs::deploy(&model, &wrapper, &config).expect("wrapper deploys");
-            let target_report = via_target.deploy(&target_plan).expect("target deploys");
-            assert_eq!(wrapper_report.inference_secs, target_report.inference_secs);
-            assert_eq!(
-                wrapper_report.total_energy.as_f64(),
-                target_report.total_energy.as_f64()
-            );
-
-            // Sequence solver through the request surface.
-            let seq_wrapper =
-                dae_dvfs::optimize_sequence(&model, qos, &config).expect("seq wrapper");
-            let seq_request = via_target
-                .plan(&PlanRequest::qos(qos).with_solver(Solver::SequenceDp))
-                .expect("seq request solves");
-            assert_plans_identical(&seq_request, &seq_wrapper, &format!("seq {context}"));
+        for solver in [Solver::ReserveGrid, Solver::SequenceDp] {
+            for slack in [0.1, 0.3, 0.5] {
+                let context = format!("{} {solver:?} @ {slack}", model.name);
+                let window = PlanRequest::qos(qos_window(baseline, slack)).with_solver(solver);
+                let new_plan = via_new.plan(&window).expect("new solves");
+                let target_plan = via_target.plan(&window).expect("target solves");
+                let via_slack = via_target
+                    .plan(&PlanRequest::slack(slack).with_solver(solver))
+                    .expect("slack request solves");
+                assert_eq!(target_plan, new_plan, "{context}");
+                assert_eq!(via_slack, new_plan, "{context}");
+                assert_eq!(
+                    via_target.deploy(&target_plan).expect("target deploys"),
+                    via_new.deploy(&new_plan).expect("new deploys"),
+                    "{context}"
+                );
+            }
         }
     }
 }
@@ -360,7 +344,7 @@ fn planner_sequence_matches_pre_refactor_path() {
     for slack in [0.1, 0.3, 0.5] {
         let qos = qos_window(baseline, slack);
         let cached = planner
-            .optimize_sequence(qos)
+            .plan(&PlanRequest::qos(qos).with_solver(Solver::SequenceDp))
             .expect("planner seq-optimizes");
         let fresh = legacy_optimize_sequence(&model, qos, &config);
         assert_plans_identical(&cached, &fresh, &format!("seq vww @ {slack}"));
@@ -386,22 +370,4 @@ fn resweep_matches_sweep_bit_for_bit() {
         let warm = planner.resweep(windows.clone()).expect("resweep solves");
         assert_eq!(warm, cold, "resweep round {round} diverged from sweep");
     }
-}
-
-#[test]
-fn free_function_wrappers_match_planner() {
-    // The thin wrappers construct a throw-away planner; spot-check they
-    // agree with an explicitly shared one.
-    let config = DseConfig::paper();
-    let model = tinynn::models::vww();
-    let planner = Planner::new(&model, &config).expect("planner builds");
-    let qos = qos_window(planner.baseline_latency().expect("baseline"), 0.3);
-    let via_wrapper = dae_dvfs::optimize(&model, qos, &config).expect("wrapper optimizes");
-    let via_planner = planner.optimize(qos).expect("planner optimizes");
-    assert_eq!(via_wrapper, via_planner);
-
-    let deployed_wrapper =
-        dae_dvfs::deploy(&model, &via_wrapper, &config).expect("wrapper deploys");
-    let deployed_planner = planner.deploy(&via_planner).expect("planner deploys");
-    assert_eq!(deployed_wrapper, deployed_planner);
 }

@@ -4,7 +4,7 @@
 
 use dae_dvfs::{
     DaeDvfsError, DeploymentPlan, DseConfig, GenericCortexMTarget, OperatingModes, PlanArtifact,
-    PlanRequest, Planner, Stm32F767Target, PLAN_ARTIFACT_SCHEMA_VERSION,
+    PlanRequest, Planner, Solver, Stm32F767Target, PLAN_ARTIFACT_SCHEMA_VERSION,
 };
 use stm32_rcc::Hertz;
 use tinynn::models::{paper_models, vww, vww_sized};
@@ -207,28 +207,17 @@ fn degenerate_inputs_rejected_at_the_api_boundary() {
     let planner = Planner::for_target(Stm32F767Target::paper(), &model).expect("builds");
 
     for bad_qos in [f64::NAN, f64::INFINITY, -1.0, 0.0] {
-        assert_eq!(invalid_field(planner.optimize(bad_qos)), "qos_secs");
-        assert_eq!(
-            invalid_field(planner.optimize_sequence(bad_qos)),
-            "qos_secs"
-        );
-        assert_eq!(
-            invalid_field(planner.plan(&PlanRequest::qos(bad_qos))),
-            "qos_secs"
-        );
+        for solver in [Solver::ReserveGrid, Solver::SequenceDp] {
+            assert_eq!(
+                invalid_field(planner.plan(&PlanRequest::qos(bad_qos).with_solver(solver))),
+                "qos_secs"
+            );
+        }
     }
     for bad_slack in [f64::NAN, -0.3, 0.0] {
         assert_eq!(invalid_field(planner.run(bad_slack)), "slack");
         assert_eq!(
             invalid_field(planner.plan(&PlanRequest::slack(bad_slack))),
-            "slack"
-        );
-        assert_eq!(
-            invalid_field(dae_dvfs::run_dae_dvfs(
-                &model,
-                bad_slack,
-                &DseConfig::paper()
-            )),
             "slack"
         );
     }
@@ -264,11 +253,13 @@ fn request_resolution_override_changes_only_the_solver_grid() {
         .plan(&PlanRequest::qos(qos).with_dp_resolution(250))
         .expect("coarse plan solves");
     assert!(coarse.predicted_latency_secs <= qos + 1e-12);
-    // ...and the default-resolution request equals plain optimize.
+    // ...and the default-resolution request equals an explicit request
+    // at the configured resolution.
     let default = planner
         .plan(&PlanRequest::qos(qos))
         .expect("default solves");
-    assert_eq!(default, planner.optimize(qos).expect("optimize"));
+    let configured = PlanRequest::qos(qos).with_dp_resolution(planner.config().dp_resolution);
+    assert_eq!(default, planner.plan(&configured).expect("configured"));
 }
 
 #[test]
