@@ -5,6 +5,7 @@
 //! * MBV2: relaxing QoS from 10 % to 50 % cuts our energy by 20.4 %.
 //!
 //! Run with: `cargo run --release -p repro-bench --bin headline_claims`
+//! (exits 1 when a claim does not hold, so CI gates on it).
 
 use dae_dvfs::Planner;
 use repro_bench::{models, SLACKS};
@@ -46,4 +47,7 @@ fn main() {
     repro_bench::rule(72);
     let ok = max_te > 0.0 && max_cg > 0.0;
     println!("qualitative claims hold: {}", if ok { "YES" } else { "NO" });
+    if !ok {
+        std::process::exit(1);
+    }
 }

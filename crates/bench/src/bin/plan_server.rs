@@ -16,8 +16,7 @@
 //! Prints the service stats (throughput, hit rate, batch shape) and the
 //! end-to-end speedup, and verifies the serving invariants: cache
 //! counters account for every request, and sampled answers are
-//! bit-identical to their serial reference (a singleton `Planner::sweep`
-//! for reserve-grid requests, `Planner::plan` for sequence-DP ones).
+//! bit-identical to `Planner::plan` of their quantized request.
 //!
 //! With `--serve` (alias `--http-trace`) the same deterministic trace is
 //! instead replayed **over real loopback sockets** against the
@@ -626,7 +625,8 @@ fn main() {
             "request {i} overran its window"
         );
     }
-    // Sampled bit-identical pins against the solver's serial reference.
+    // Sampled bit-identical pins against `Planner::plan` of the request
+    // the service solved: its canonical window, solver and resolution.
     for i in (0..trace.len()).step_by((trace.len() / 25).max(1)) {
         let r = &trace[i];
         let planner = &planners[r.tenant].1;
@@ -640,13 +640,7 @@ fn main() {
                         .unwrap_or(planner.config().dp_resolution),
                 )
         };
-        let reference = match r.request.solver() {
-            Solver::ReserveGrid => planner
-                .sweep([answers[i].qos_secs])
-                .expect("singleton sweep solves")
-                .remove(0),
-            _ => planner.plan(&quantized).expect("reference solves"),
-        };
+        let reference = planner.plan(&quantized).expect("reference solves");
         assert_eq!(
             *answers[i], reference,
             "request {i} diverged from its serial reference"

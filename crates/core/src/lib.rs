@@ -35,10 +35,11 @@
 //! histograms on [`ServiceStats`], and replayable offline via
 //! `plan_server --replay` (DESIGN.md, "Observability: receipts, metrics
 //! & trace replay"). The DP fills themselves run through branch-free quantized
-//! kernels with checkpointed rows, so a planner whose inputs drifted in
-//! one class can re-solve incrementally via [`Planner::resweep`] /
-//! [`mckp_resweep`] / [`sequence_resweep`] — bit-identical to a cold
-//! fill (DESIGN.md, "Quantized DP kernels & incremental re-solve").
+//! kernels with checkpointed rows, so a table whose inputs drifted in
+//! one class re-solves incrementally via [`mckp_resweep`] /
+//! [`sequence_resweep`] — bit-identical to a cold fill, and the path
+//! every planner fill takes (DESIGN.md, "Quantized DP kernels &
+//! incremental re-solve").
 //!
 //! The serving stack's invariants are machine-checked: all locking goes
 //! through the ranked mutexes in this crate's `sync` module (debug

@@ -19,15 +19,12 @@ use tinynn::Model;
 
 use crate::dse::{DseConfig, DsePoint};
 use crate::error::DaeDvfsError;
-use crate::mckp::{MckpError, MckpItem, MckpSolution};
+use crate::mckp::{MckpError, MckpItem};
 use crate::pareto::pareto_front;
 use crate::pipeline::{DeploymentPlan, DeploymentReport, LayerDecision};
 use crate::request::{validate_positive_time, PlanRequest, QosBudget, Solver};
 use crate::schedule::{explore_model, replay_decisions, CompiledLayer, CostStreams};
-use crate::solver::{
-    mckp_resweep, mckp_sweep, solve_dp_with, solve_sequence_with, Grid, SolverWorkspace,
-    WorkspacePool,
-};
+use crate::solver::{mckp_resweep, solve_sequence_with, Grid, MckpSweep, WorkspacePool};
 use crate::target::{Stm32F767Target, Target};
 
 /// A reusable planner for one `(model, target)` pair.
@@ -264,50 +261,30 @@ impl Planner {
             .collect()
     }
 
+    /// The sum of per-class fastest times: no window below it is feasible.
+    fn min_time(&self) -> f64 {
+        self.classes
+            .iter()
+            .map(|c| c.iter().map(|i| i.time_secs).fold(f64::INFINITY, f64::min))
+            .sum()
+    }
+
     /// The deepest budget the reserve-grid search will ever solve for:
     /// the sum of per-class fastest times scaled by a rounding margin (so
     /// the DP's ceil-rounding — at most one bucket per class — cannot
     /// round the fastest selection out of the smallest budget). Both the
-    /// per-point search (its reserve cap) and the sweep's shared grid
-    /// derive from this one definition, which is what guarantees the grid
-    /// covers every budget the search can visit.
-    fn qos_floor(classes: &[Vec<MckpItem>], resolution: usize) -> f64 {
-        let min_time: f64 = classes
-            .iter()
-            .map(|c| c.iter().map(|i| i.time_secs).fold(f64::INFINITY, f64::min))
-            .sum();
-        let rounding_margin = 1.0 + (classes.len() + 1) as f64 / resolution as f64;
-        min_time * rounding_margin
+    /// search's reserve cap and every table's grid derive from this one
+    /// definition, which is what guarantees a table covers every budget
+    /// the search can visit.
+    fn qos_floor(&self, resolution: usize) -> f64 {
+        let rounding_margin = 1.0 + (self.classes.len() + 1) as f64 / resolution as f64;
+        self.min_time() * rounding_margin
     }
 
-    /// Runs `f` against a workspace checked out of this planner's pool:
-    /// concurrent solves get distinct workspaces (no blocking), and every
-    /// workspace returns to the pool with its warmed buffers intact (the
-    /// buffers are pure scratch, so results never depend on which one was
-    /// used).
-    fn with_workspace<R>(&self, f: impl FnOnce(&mut SolverWorkspace) -> R) -> R {
-        self.workspace.run(f)
-    }
-
-    /// [`Solver::ReserveGrid`] at DP resolution `resolution`: the
-    /// reserve-grid budget search with the DP re-run per budget.
-    fn optimize_at(
-        &self,
-        qos_secs: f64,
-        resolution: usize,
-    ) -> Result<DeploymentPlan, DaeDvfsError> {
-        self.with_workspace(|ws| {
-            self.search_reserve_grid(qos_secs, resolution, |budget| {
-                solve_dp_with(&self.classes, budget, resolution, ws)
-            })
-        })
-    }
-
-    /// The reserve-grid budget search behind [`Solver::ReserveGrid`],
-    /// parameterized over how a single budget is solved: the per-call
-    /// path ([`Planner::plan`]) re-runs the DP per budget, the sweep path
-    /// extracts every budget from one shared table
-    /// ([`MckpSweep::best_for`]).
+    /// The reserve-grid budget search behind [`Solver::ReserveGrid`]: every
+    /// budget it visits is answered by extraction from `table`
+    /// ([`MckpSweep::best_for`]), whose grid covers `qos_secs` and the
+    /// feasibility floor.
     ///
     /// DSE items are relock-free, so the DP solution can overrun once
     /// inter-layer re-locks are priced. Rather than accepting the first
@@ -326,16 +303,14 @@ impl Planner {
     /// (identical choices price identically; the first instance already
     /// fed the search, and the strict `<` on the score means duplicates
     /// can never change the winner).
-    ///
-    /// [`MckpSweep::best_for`]: crate::solver::MckpSweep::best_for
     fn search_reserve_grid(
         &self,
         qos_secs: f64,
         resolution: usize,
-        mut solve: impl FnMut(f64) -> Result<MckpSolution, MckpError>,
+        table: &MckpSweep<'_>,
     ) -> Result<DeploymentPlan, DaeDvfsError> {
         let idle_power = self.config.power.clock_gated_power.as_f64();
-        let reserve_cap = (qos_secs - Planner::qos_floor(&self.classes, resolution)).max(0.0);
+        let reserve_cap = (qos_secs - self.qos_floor(resolution)).max(0.0);
 
         // Every distinct choice vector priced so far, with its latency;
         // `best` is `(score, index into seen, latency, energy)`.
@@ -358,7 +333,7 @@ impl Planner {
 
         // Anchor: the unreserved solution and its observed switching
         // overhead.
-        let base = solve(qos_secs)?;
+        let base = table.best_for(qos_secs)?;
         let base_time = base.total_time_secs;
         let base_latency = try_candidate(base.choices);
         let overhead = (base_latency - base_time).max(0.0);
@@ -382,7 +357,7 @@ impl Planner {
             if budget <= 0.0 {
                 continue;
             }
-            if let Ok(solution) = solve(budget) {
+            if let Ok(solution) = table.best_for(budget) {
                 try_candidate(solution.choices);
             }
         }
@@ -414,7 +389,7 @@ impl Planner {
         resolution: usize,
     ) -> Result<DeploymentPlan, DaeDvfsError> {
         let idle_power = self.config.power.clock_gated_power.as_f64();
-        let solution = self.with_workspace(|ws| {
+        let solution = self.workspace.run(|ws| {
             solve_sequence_with(
                 &self.fronts,
                 qos_secs,
@@ -498,11 +473,10 @@ impl Planner {
     /// concurrent requests through this path without changing any
     /// caller's answer.
     ///
-    /// Every returned plan is feasible and matches what
-    /// [`Planner::plan`] would return within the solver's documented
-    /// discretization bound (the shared grid resolves every budget at
-    /// least as finely as the per-call grid; see [`crate::solver`]).
-    /// Plans are returned in window order.
+    /// Every returned plan is feasible and bit-identical to what
+    /// [`Planner::plan`] returns for a reserve-grid request of that
+    /// window: `plan` is the singleton sweep. Plans are returned in window
+    /// order.
     ///
     /// # Errors
     ///
@@ -512,43 +486,9 @@ impl Planner {
         &self,
         qos_windows: impl IntoIterator<Item = f64>,
     ) -> Result<Vec<DeploymentPlan>, DaeDvfsError> {
-        self.sweep_windows(qos_windows, false)
-    }
-
-    /// [`Planner::sweep`] with **incremental re-solve**: the shared-grid
-    /// fill runs through [`crate::solver::mckp_resweep`], so when the
-    /// pooled workspace still holds this planner's checkpointed table
-    /// from an earlier sweep at the same resolution — the hot-group
-    /// serving pattern, where the same model is re-swept batch after
-    /// batch — the DP fill is skipped entirely and only the per-window
-    /// extractions run. Results are **bit-identical** to
-    /// [`Planner::sweep`] (pinned by `tests/planner_equivalence.rs`):
-    /// checkpoints are reused only when the grid and every item lane byte
-    /// match, and the shared grid's scale is a function of the planner
-    /// and resolution alone, so the retained table is exactly the table
-    /// a fresh fill would produce.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Planner::sweep`].
-    pub fn resweep(
-        &self,
-        qos_windows: impl IntoIterator<Item = f64>,
-    ) -> Result<Vec<DeploymentPlan>, DaeDvfsError> {
-        self.sweep_windows(qos_windows, true)
-    }
-
-    fn sweep_windows(
-        &self,
-        qos_windows: impl IntoIterator<Item = f64>,
-        reuse: bool,
-    ) -> Result<Vec<DeploymentPlan>, DaeDvfsError> {
         let windows: Vec<f64> = qos_windows.into_iter().collect();
         for &q in &windows {
             validate_positive_time("qos_secs", q)?;
-        }
-        if windows.is_empty() {
-            return Ok(Vec::new());
         }
         // Dedup repeated windows (first-occurrence order); NaN was
         // rejected above, so bit equality is value equality.
@@ -565,102 +505,104 @@ impl Planner {
                     })
             })
             .collect();
-        let solved = self.sweep_distinct(&distinct, self.config.dp_resolution, usize::MAX, reuse);
+        let solved = self.solve_distinct(
+            Solver::ReserveGrid,
+            &distinct,
+            self.config.dp_resolution,
+            usize::MAX,
+        );
         // Fan results back out in window order; the earliest failing
-        // window's error surfaces, as before.
+        // window's error surfaces.
         mapping.into_iter().map(|p| solved[p].clone()).collect()
     }
 
-    /// Solves a batch of **distinct** QoS windows at an explicit DP
-    /// resolution, returning one `Result` per window — the engine behind
-    /// [`Planner::sweep`] and the coalescing core of [`crate::service`].
+    /// Answers a batch of **distinct**, already validated windows with
+    /// `solver` at DP resolution `resolution`, one `Result` per window in
+    /// window order. This is the one solve path: [`Planner::plan`],
+    /// [`Planner::sweep`] and the [`crate::service`] workers all call it,
+    /// so only the planner knows what each [`Solver`] runs.
     ///
-    /// Windows at or above the feasibility floor share one DP table whose
-    /// scale is `floor / resolution` — a function of the planner and the
-    /// resolution only, never of the batch — and a DP table's prefix does
-    /// not depend on how many buckets lie above it, so **a window's plan
-    /// is independent of which other windows were batched with it** (in
-    /// particular, bit-identical to a singleton [`Planner::sweep`] of
-    /// that window). Windows below the floor, and batches whose spread
-    /// would cap the shared grid ([`crate::solver::MAX_SWEEP_BUCKETS`]),
-    /// are solved on per-window grids, preserving the invariance at the
-    /// cost of extra DP fills.
+    /// [`Solver::ReserveGrid`] windows at or above the feasibility floor
+    /// share one DP table whose scale is `floor / resolution` — a function
+    /// of the planner and the resolution only, never of the batch — and a
+    /// DP table's prefix does not depend on how many buckets lie above
+    /// it, so **a window's plan is independent of which other windows
+    /// were batched with it** (in particular, bit-identical to
+    /// [`Planner::plan`] of that window). Windows below the floor, and
+    /// batches whose spread would cap the shared grid
+    /// ([`crate::solver::MAX_SWEEP_BUCKETS`]), get one `{window, floor}`
+    /// table each — exactly the grid a singleton batch builds — which
+    /// keeps the invariance at the cost of extra DP fills.
+    /// [`Solver::SequenceDp`] windows are solved one by one.
+    ///
+    /// Every table is filled through [`crate::solver::mckp_resweep`]: when
+    /// the pooled workspace still holds this planner's checkpointed table
+    /// for the same grid — the hot-group serving pattern, where one model
+    /// is re-swept batch after batch — the fill is skipped, bit-identically
+    /// to a cold fill (checkpoints are reused only when the grid and every
+    /// item lane byte match).
     ///
     /// `max_threads` caps the extraction striping (the table fill itself
-    /// is single-threaded): callers that are already one of several
-    /// parallel workers — the [`crate::service`] batch solvers — pass
-    /// their share of the machine so concurrent batches do not
-    /// oversubscribe it; [`Planner::sweep`] passes `usize::MAX` (cap by
-    /// available parallelism alone).
-    ///
-    /// `reuse` routes the shared-grid fill through
-    /// [`crate::solver::mckp_resweep`], reusing the pooled workspace's
-    /// checkpointed table when it matches (bit-identical either way; see
-    /// [`Planner::resweep`]). The service coalescer passes `true` so hot
-    /// groups skip the fill across batch windows.
-    pub(crate) fn sweep_distinct(
+    /// is single-threaded): the service workers pass their share of the
+    /// machine so concurrent batches do not oversubscribe it.
+    pub(crate) fn solve_distinct(
         &self,
+        solver: Solver,
         windows: &[f64],
         resolution: usize,
         max_threads: usize,
-        reuse: bool,
     ) -> Vec<Result<DeploymentPlan, DaeDvfsError>> {
-        let classes = &self.classes;
-        let min_time: f64 = classes
-            .iter()
-            .map(|c| c.iter().map(|i| i.time_secs).fold(f64::INFINITY, f64::min))
-            .sum();
-        let floor = Planner::qos_floor(classes, resolution);
+        match solver {
+            Solver::SequenceDp => {
+                return windows
+                    .iter()
+                    .map(|&w| self.optimize_sequence_at(w, resolution))
+                    .collect();
+            }
+            Solver::ReserveGrid => {}
+        }
+        let min_time = self.min_time();
+        let floor = self.qos_floor(resolution);
+        let floor_ok = floor.is_finite() && floor > 0.0;
         let mut slots: Vec<Option<Result<DeploymentPlan, DaeDvfsError>>> =
             vec![None; windows.len()];
-
-        // Windows below the fastest selection are infeasible before any
-        // DP work — the same error the table extraction would report.
+        let mut singles: Vec<(usize, f64)> = Vec::new();
+        let mut shared: Vec<(usize, f64)> = Vec::new();
         for (i, &w) in windows.iter().enumerate() {
             if min_time > w {
+                // Below the fastest selection: infeasible before any DP
+                // work — the same error the table extraction would report.
                 slots[i] = Some(Err(DaeDvfsError::Qos(MckpError::Infeasible {
                     min_time_secs: min_time,
                     budget_secs: w,
                 })));
-            }
-        }
-
-        let floor_ok = floor.is_finite() && floor > 0.0;
-        let mut singles: Vec<(usize, f64)> = Vec::new();
-        let mut shared: Vec<(usize, f64)> = Vec::new();
-        for (i, &w) in windows.iter().enumerate() {
-            if slots[i].is_some() {
-                continue;
-            }
-            if floor_ok && w >= floor {
+            } else if floor_ok && w >= floor {
                 shared.push((i, w));
             } else {
                 singles.push((i, w));
             }
         }
 
+        let mut fill = |budgets: &[f64], targets: &[(usize, f64)]| {
+            for (i, plan) in self.solve_on_table(budgets, resolution, max_threads, targets) {
+                slots[i] = Some(plan);
+            }
+        };
         if !shared.is_empty() {
             let mut budgets: Vec<f64> = shared.iter().map(|&(_, w)| w).collect();
             budgets.push(floor);
             // The batch-independent scale the shared grid resolves to
             // when uncapped; a capped grid would couple every window's
             // answer to the batch maximum, so capped batches fall back to
-            // per-window grids instead.
-            let floor_scale = floor / resolution as f64;
+            // per-window tables instead.
             match Grid::shared(&budgets, resolution) {
-                Ok(grid) if grid.scale == floor_scale => {
-                    for (i, plan) in
-                        self.solve_on_shared_grid(&budgets, resolution, max_threads, reuse, &shared)
-                    {
-                        slots[i] = Some(plan);
-                    }
-                }
+                Ok(grid) if grid.scale == floor / resolution as f64 => fill(&budgets, &shared),
                 _ => singles.append(&mut shared),
             }
         }
-
-        for &(i, w) in &singles {
-            slots[i] = Some(self.sweep_single(w, floor, floor_ok, resolution));
+        for (i, w) in singles {
+            let budgets = if floor_ok { vec![w, floor] } else { vec![w] };
+            fill(&budgets, &[(i, w)]);
         }
 
         slots
@@ -669,42 +611,31 @@ impl Planner {
             .collect()
     }
 
-    /// Fills one shared-grid table for `budgets` and answers every
-    /// `(slot, window)` target by extraction, striping the per-window
-    /// reserve searches over `std::thread::scope`.
-    fn solve_on_shared_grid(
+    /// Fills one table for `budgets` and answers every `(slot, window)`
+    /// target by extraction, striping the per-window reserve searches over
+    /// `std::thread::scope`.
+    fn solve_on_table(
         &self,
         budgets: &[f64],
         resolution: usize,
         max_threads: usize,
-        reuse: bool,
         targets: &[(usize, f64)],
     ) -> Vec<(usize, Result<DeploymentPlan, DaeDvfsError>)> {
         let mut ws = self.workspace.take();
-        let table = if reuse {
-            mckp_resweep(&self.classes, budgets, resolution, &mut ws)
-        } else {
-            mckp_sweep(&self.classes, budgets, resolution, &mut ws)
-        };
-        let solved = match table {
+        let solved = match mckp_resweep(&self.classes, budgets, resolution, &mut ws) {
             Ok(table) => {
                 let threads = std::thread::available_parallelism()
                     .map(|n| n.get())
                     .unwrap_or(1)
                     .min(max_threads.max(1))
                     .min(targets.len());
+                let search = |&(i, qos): &(usize, f64)| {
+                    (i, self.search_reserve_grid(qos, resolution, &table))
+                };
                 if threads <= 1 {
-                    targets
-                        .iter()
-                        .map(|&(i, qos)| {
-                            let plan =
-                                self.search_reserve_grid(qos, resolution, |b| table.best_for(b));
-                            (i, plan)
-                        })
-                        .collect()
+                    targets.iter().map(search).collect()
                 } else {
                     std::thread::scope(|s| {
-                        let table = &table;
                         let handles: Vec<_> = (0..threads)
                             .map(|t| {
                                 s.spawn(move || {
@@ -712,13 +643,7 @@ impl Planner {
                                         .iter()
                                         .skip(t)
                                         .step_by(threads)
-                                        .map(|&(i, qos)| {
-                                            let plan =
-                                                self.search_reserve_grid(qos, resolution, |b| {
-                                                    table.best_for(b)
-                                                });
-                                            (i, plan)
-                                        })
+                                        .map(search)
                                         .collect::<Vec<_>>()
                                 })
                             })
@@ -737,27 +662,6 @@ impl Planner {
         };
         self.workspace.put(ws);
         solved
-    }
-
-    /// Solves one window on its own grid (used when the window sits below
-    /// the shared floor grid, or the batch's spread capped the shared
-    /// table): budgets `{window, floor}` — exactly the grid a singleton
-    /// sweep builds, so the answer stays batch-independent.
-    fn sweep_single(
-        &self,
-        qos_secs: f64,
-        floor: f64,
-        floor_ok: bool,
-        resolution: usize,
-    ) -> Result<DeploymentPlan, DaeDvfsError> {
-        let mut budgets = vec![qos_secs];
-        if floor_ok {
-            budgets.push(floor);
-        }
-        self.with_workspace(|ws| {
-            let table = mckp_sweep(&self.classes, &budgets, resolution, ws)?;
-            self.search_reserve_grid(qos_secs, resolution, |b| table.best_for(b))
-        })
     }
 
     /// Convenience: plans [`PlanRequest::slack`]`(slack)` and deploys
@@ -789,6 +693,12 @@ impl Planner {
     /// winning. [`Solver::SequenceDp`] runs the layered-graph DP of
     /// [`crate::seqdp`].
     ///
+    /// The request is answered as a one-window batch of the path that
+    /// [`Planner::sweep`] and [`crate::PlanService`] solve through, so a
+    /// reserve-grid plan is bit-identical to the singleton sweep of its
+    /// window, and every answer is the one the service serves for the
+    /// same request under its default zero QoS quantum.
+    ///
     /// # Errors
     ///
     /// [`DaeDvfsError::InvalidRequest`] for degenerate knobs;
@@ -801,10 +711,9 @@ impl Planner {
             QosBudget::Slack(slack) => qos_window(self.baseline_latency()?, slack),
         };
         let resolution = request.dp_resolution().unwrap_or(self.config.dp_resolution);
-        match request.solver() {
-            Solver::ReserveGrid => self.optimize_at(qos_secs, resolution),
-            Solver::SequenceDp => self.optimize_sequence_at(qos_secs, resolution),
-        }
+        self.solve_distinct(request.solver(), &[qos_secs], resolution, 1)
+            .pop()
+            .expect("one answer per window")
     }
 }
 
@@ -870,7 +779,7 @@ mod tests {
     }
 
     #[test]
-    fn sweep_tracks_per_point_optimize_within_the_bound() {
+    fn sweep_matches_per_window_plan_bit_for_bit() {
         let model = vww();
         let planner = Planner::new(&model, &DseConfig::paper()).unwrap();
         let baseline = planner.baseline_latency().unwrap();
@@ -882,25 +791,11 @@ mod tests {
         // Deterministic regardless of thread striping.
         let again = planner.sweep(windows.iter().copied()).unwrap();
         assert_eq!(swept, again);
-        let gated = planner.config().power.clock_gated_power.as_f64();
+        // `plan` is the singleton sweep, and a window's answer does not
+        // depend on the batch it was swept in.
         for (plan, &qos) in swept.iter().zip(&windows) {
             assert!(plan.predicted_latency_secs <= qos + 1e-12);
-            let solo = planner.plan(&PlanRequest::qos(qos)).unwrap();
-            let window = |p: &DeploymentPlan| {
-                p.predicted_energy.as_f64() + gated * (qos - p.predicted_latency_secs)
-            };
-            // The shared grid resolves every budget at least as finely as
-            // the per-call grid, so the sweep's replay-validated winner is
-            // typically better and never materially worse (the reserve
-            // search replays candidates, so a coarser grid can luck into a
-            // marginally better replay — bounded to a fraction of a
-            // percent).
-            assert!(
-                window(plan) <= window(&solo) * 1.005,
-                "sweep materially worse than plan at {qos}: {} vs {}",
-                window(plan),
-                window(&solo)
-            );
+            assert_eq!(*plan, planner.plan(&PlanRequest::qos(qos)).unwrap());
         }
     }
 

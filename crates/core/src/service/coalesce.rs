@@ -1,4 +1,5 @@
-//! Request canonicalization and coalesced batch solving.
+//! Request canonicalization: the cache and coalescing identity of a
+//! request.
 //!
 //! Canonicalization turns an arbitrary [`PlanRequest`] into the identity
 //! the cache and coalescer operate on: slack budgets are resolved to
@@ -12,12 +13,12 @@
 //!
 //! Batches are formed per [`GroupKey`] — everything that must agree for
 //! two requests to be answered from one shared-grid DP table — and
-//! solved by [`solve_batch`].
+//! solved by the planner's one solve path (`Planner::solve_distinct`),
+//! which also answers `Planner::plan` and `Planner::sweep`.
 
 use tinyengine::qos_window;
 
 use crate::error::DaeDvfsError;
-use crate::pipeline::DeploymentPlan;
 use crate::planner::Planner;
 use crate::request::{PlanRequest, QosBudget, Solver};
 use crate::service::cache::PlanKey;
@@ -114,47 +115,6 @@ pub(crate) fn quantize(window_secs: f64, quantum_secs: f64) -> f64 {
         snapped
     } else {
         window_secs
-    }
-}
-
-/// Answers one group's batch of **distinct** windows. Results are
-/// positionally aligned with `windows`.
-///
-/// [`Solver::ReserveGrid`] groups are answered with **one shared-grid
-/// DP pass** ([`crate::Planner::sweep`] semantics): deterministic and
-/// *batch-invariant* — bit-identical to a singleton
-/// `Planner::sweep([window])` of the same request, no matter which other
-/// requests were coalesced alongside — and within the solver's
-/// documented discretization bound of [`crate::Planner::plan`].
-/// [`Solver::SequenceDp`] groups are answered per request by
-/// [`crate::Planner::plan`] (their shared-grid sweep is future work).
-/// `sweep_threads` caps the swept path's extraction striping — the
-/// calling worker's share of the machine, so concurrent batches do not
-/// oversubscribe it.
-pub(crate) fn solve_batch(
-    planner: &Planner,
-    solver: Solver,
-    dp_resolution: usize,
-    windows: &[f64],
-    sweep_threads: usize,
-) -> Vec<Result<DeploymentPlan, DaeDvfsError>> {
-    match solver {
-        Solver::ReserveGrid => {
-            // reuse=true: hot groups hit the same planner (and so the same
-            // workspace pool) batch after batch, and the checkpointed DP
-            // table lets an unchanged group skip the shared-grid fill
-            // entirely. Bit-identical to a cold fill by construction.
-            planner.sweep_distinct(windows, dp_resolution, sweep_threads, true)
-        }
-        Solver::SequenceDp => windows
-            .iter()
-            .map(|&window| {
-                let request = PlanRequest::qos(window)
-                    .with_solver(solver)
-                    .with_dp_resolution(dp_resolution);
-                planner.plan(&request)
-            })
-            .collect(),
     }
 }
 

@@ -26,7 +26,7 @@ use crate::planner::Planner;
 use crate::registry::PlanRegistry;
 use crate::request::PlanRequest;
 use crate::service::cache::{CacheStats, Lookup, PlanCache, PlanKey, ServedPlan};
-use crate::service::coalesce::{canonicalize, solve_batch, GroupKey};
+use crate::service::coalesce::{canonicalize, GroupKey};
 use crate::service::ServiceConfig;
 use crate::sync::{lock, rank, wait, wait_timeout, RankedCondvar, RankedMutex};
 
@@ -925,13 +925,7 @@ impl PlanService {
         // serving closure would deadlock the scope's join.
         let solve_start = obs::monotonic_nanos();
         let results = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            solve_batch(
-                planner,
-                group.solver,
-                group.dp_resolution,
-                &windows,
-                sweep_threads,
-            )
+            planner.solve_distinct(group.solver, &windows, group.dp_resolution, sweep_threads)
         }));
         let solve_nanos = obs::monotonic_nanos().saturating_sub(solve_start);
         // Leaders of a shared solve are stamped with the batch they rode

@@ -19,13 +19,13 @@
 //!    everyone else joins its in-flight entry and shares the one solve.
 //! 2. **Request coalescer** (`coalesce`): queued leaders are grouped by
 //!    `(model, config, solver, resolution)` and each group is answered
-//!    with **one** shared-grid DP ([`crate::Planner::sweep`]'s engine)
-//!    instead of per-request `plan()` calls, inside a bounded batching
+//!    through the planner's one solve path — for the reserve grid,
+//!    **one** shared-grid DP ([`crate::Planner::sweep`]'s engine)
+//!    instead of one fill per request — inside a bounded batching
 //!    window (`max_batch` requests, optional `batch_linger` wait).
-//!    Coalesced answers are *batch-invariant*: bit-identical to a
-//!    singleton sweep of the same window, no matter what else was in the
-//!    batch. Sequence-DP groups are answered per request via
-//!    [`crate::Planner::plan`].
+//!    Coalesced answers are *batch-invariant*: bit-identical to
+//!    [`crate::Planner::plan`] of the same request, no matter what else
+//!    was in the batch. Sequence-DP windows are solved one by one.
 //! 3. **Front end** (`front`): a worker pool on `std::thread::scope`
 //!    ([`PlanService::run`]), a bounded submission queue with typed
 //!    backpressure ([`crate::ServiceError::QueueFull`]), graceful drain

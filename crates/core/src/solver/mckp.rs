@@ -239,43 +239,6 @@ pub struct MckpSweep<'a> {
     offsets: &'a [usize],
 }
 
-fn sweep_impl<'a>(
-    classes: &'a [Vec<MckpItem>],
-    budgets: &[f64],
-    resolution: usize,
-    ws: &'a mut SolverWorkspace,
-    reuse: bool,
-) -> Result<MckpSweep<'a>, MckpError> {
-    let grid = Grid::shared(budgets, resolution)?;
-    for (i, class) in classes.iter().enumerate() {
-        if class.is_empty() {
-            return Err(MckpError::EmptyClass { class: i });
-        }
-    }
-    let min_time_secs: f64 = classes
-        .iter()
-        .map(|c| c.iter().map(|i| i.time_secs).fold(INF, f64::min))
-        .sum();
-    prepare_lanes(classes, grid, ws);
-    let start = if reuse {
-        reusable_prefix(ws, grid, classes.len())
-    } else {
-        0
-    };
-    commit_lanes(ws, grid);
-    fill_table_from(classes.len(), grid.buckets, start, ws);
-    Ok(MckpSweep {
-        classes,
-        grid,
-        min_time_secs,
-        refilled: classes.len() - start,
-        rows: &ws.mckp_rows,
-        weights: &ws.mckp_weights,
-        energies: &ws.mckp_energies,
-        offsets: &ws.mckp_offsets,
-    })
-}
-
 /// Runs one MCKP DP pass over the shared grid of `budgets` into `ws` and
 /// returns the extraction handle.
 ///
@@ -298,7 +261,9 @@ pub fn mckp_sweep<'a>(
     resolution: usize,
     ws: &'a mut SolverWorkspace,
 ) -> Result<MckpSweep<'a>, MckpError> {
-    sweep_impl(classes, budgets, resolution, ws, false)
+    // With no checkpoint grid, no prefix is reusable: a full fill.
+    ws.mckp_grid = None;
+    mckp_resweep(classes, budgets, resolution, ws)
 }
 
 /// [`mckp_sweep`] with **incremental re-solve**: diffs the freshly
@@ -325,7 +290,30 @@ pub fn mckp_resweep<'a>(
     resolution: usize,
     ws: &'a mut SolverWorkspace,
 ) -> Result<MckpSweep<'a>, MckpError> {
-    sweep_impl(classes, budgets, resolution, ws, true)
+    let grid = Grid::shared(budgets, resolution)?;
+    for (i, class) in classes.iter().enumerate() {
+        if class.is_empty() {
+            return Err(MckpError::EmptyClass { class: i });
+        }
+    }
+    let min_time_secs: f64 = classes
+        .iter()
+        .map(|c| c.iter().map(|i| i.time_secs).fold(INF, f64::min))
+        .sum();
+    prepare_lanes(classes, grid, ws);
+    let start = reusable_prefix(ws, grid, classes.len());
+    commit_lanes(ws, grid);
+    fill_table_from(classes.len(), grid.buckets, start, ws);
+    Ok(MckpSweep {
+        classes,
+        grid,
+        min_time_secs,
+        refilled: classes.len() - start,
+        rows: &ws.mckp_rows,
+        weights: &ws.mckp_weights,
+        energies: &ws.mckp_energies,
+        offsets: &ws.mckp_offsets,
+    })
 }
 
 impl MckpSweep<'_> {

@@ -39,8 +39,11 @@
 //! The single-budget entry points [`crate::mckp::solve_dp`] and
 //! [`crate::seqdp::solve_sequence`] are thin wrappers over the same cores
 //! with a one-budget grid (`scale = budget / resolution`), which keeps
-//! them bit-identical to the historical implementations — the planner
-//! equivalence pins rely on that.
+//! them bit-identical to the historical implementations. The planner's
+//! reserve-grid search does not use that per-call grid: every window,
+//! including a single [`crate::Planner::plan`], is answered from an
+//! [`mckp_resweep`] table anchored at the feasibility floor, so a plan
+//! and a served plan are the same bits.
 //!
 //! ## Discretization bound
 //!
@@ -58,10 +61,10 @@
 //! Because `Grid::shared` picks `s ≤ min_budget / resolution`, the
 //! shared-grid answer for every budget is at least as finely resolved as
 //! the per-call answer (`s ≤ B / resolution` for every `B` in the batch),
-//! so sweep and per-call results agree within the *per-call* bound:
-//! both lie in `[OPT(B), OPT(B − n·B/resolution)]`. The property tests in
-//! `tests/proptests.rs` pin exactly this window against the exhaustive
-//! solver.
+//! so [`mckp_sweep`] and [`crate::mckp::solve_dp`] results agree within
+//! the *per-call* bound: both lie in `[OPT(B), OPT(B − n·B/resolution)]`.
+//! The property tests in `tests/proptests.rs` pin exactly this window
+//! against the exhaustive solver.
 //!
 //! ## Grid capping
 //!

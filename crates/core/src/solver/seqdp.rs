@@ -364,43 +364,6 @@ pub struct SequenceSweep<'a> {
     offsets: &'a [usize],
 }
 
-fn sweep_impl<'a>(
-    fronts: &'a [Vec<DsePoint>],
-    budgets: &[f64],
-    resolution: usize,
-    config: &'a DseConfig,
-    idle_power_w: f64,
-    ws: &'a mut SolverWorkspace,
-    reuse: bool,
-) -> Result<SequenceSweep<'a>, MckpError> {
-    validate_fronts(fronts)?;
-    let nf = build_freqs(fronts, ws);
-    // The checkpoint table holds one state per (layer, frequency,
-    // bucket), so the bucket axis is capped by the total state budget
-    // rather than MAX_SWEEP_BUCKETS alone (never below the per-call
-    // grid, whose table every historical call already allocated).
-    let max_buckets = MAX_SWEEP_STATES / (nf * fronts.len()).max(1);
-    let grid = Grid::shared_with_cap(budgets, resolution, max_buckets)?;
-    prepare_items(fronts, grid.scale, config, idle_power_w, ws)?;
-    let start = if reuse {
-        reusable_prefix(ws, grid, fronts.len())
-    } else {
-        0
-    };
-    commit_lanes(ws, grid);
-    fill_table_from(fronts.len(), grid.buckets, start, ws);
-    Ok(SequenceSweep {
-        fronts,
-        config,
-        grid,
-        nf,
-        refilled: fronts.len() - start,
-        rows: &ws.seq_rows,
-        items: &ws.seq_items,
-        offsets: &ws.seq_offsets,
-    })
-}
-
 /// Runs one sequence-DP pass over the shared grid of `budgets` into `ws`
 /// and returns the extraction handle. The table is always filled from
 /// scratch; use [`sequence_resweep`] to reuse retained checkpoints.
@@ -419,7 +382,9 @@ pub fn sequence_sweep<'a>(
     idle_power_w: f64,
     ws: &'a mut SolverWorkspace,
 ) -> Result<SequenceSweep<'a>, MckpError> {
-    sweep_impl(fronts, budgets, resolution, config, idle_power_w, ws, false)
+    // With no checkpoint grid, no prefix is reusable: a full fill.
+    ws.seq_grid = None;
+    sequence_resweep(fronts, budgets, resolution, config, idle_power_w, ws)
 }
 
 /// [`sequence_sweep`] with **incremental re-solve**: diffs the freshly
@@ -442,7 +407,28 @@ pub fn sequence_resweep<'a>(
     idle_power_w: f64,
     ws: &'a mut SolverWorkspace,
 ) -> Result<SequenceSweep<'a>, MckpError> {
-    sweep_impl(fronts, budgets, resolution, config, idle_power_w, ws, true)
+    validate_fronts(fronts)?;
+    let nf = build_freqs(fronts, ws);
+    // The checkpoint table holds one state per (layer, frequency,
+    // bucket), so the bucket axis is capped by the total state budget
+    // rather than MAX_SWEEP_BUCKETS alone (never below the per-call
+    // grid, whose table every historical call already allocated).
+    let max_buckets = MAX_SWEEP_STATES / (nf * fronts.len()).max(1);
+    let grid = Grid::shared_with_cap(budgets, resolution, max_buckets)?;
+    prepare_items(fronts, grid.scale, config, idle_power_w, ws)?;
+    let start = reusable_prefix(ws, grid, fronts.len());
+    commit_lanes(ws, grid);
+    fill_table_from(fronts.len(), grid.buckets, start, ws);
+    Ok(SequenceSweep {
+        fronts,
+        config,
+        grid,
+        nf,
+        refilled: fronts.len() - start,
+        rows: &ws.seq_rows,
+        items: &ws.seq_items,
+        offsets: &ws.seq_offsets,
+    })
 }
 
 impl SequenceSweep<'_> {

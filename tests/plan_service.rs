@@ -1,16 +1,12 @@
 //! Multi-threaded stress tests of the concurrent plan-serving subsystem:
 //! ≥8 threads hammer one `PlanService` with overlapping requests, and
-//! every returned plan must be bit-identical to the corresponding serial
-//! reference — a singleton `Planner::sweep` for reserve-grid requests
-//! (batch-invariance), `Planner::plan` for sequence-DP requests — with
-//! the cache counters consistent (`hits + misses == requests`).
+//! every returned plan must be bit-identical to `Planner::plan` of the
+//! same request, with the cache counters consistent
+//! (`hits + misses == requests`).
 
 use std::sync::Arc;
 
-use dae_dvfs::{
-    DeploymentPlan, DseConfig, PlanRequest, PlanService, Planner, QosBudget, ServiceConfig,
-    ServiceError, Solver,
-};
+use dae_dvfs::{DseConfig, PlanRequest, PlanService, Planner, ServiceConfig, ServiceError, Solver};
 use tinyengine::qos_window;
 use tinynn::models::vww_sized;
 
@@ -38,32 +34,6 @@ fn request_pool(baseline: f64) -> Vec<PlanRequest> {
     ]
 }
 
-/// The serial answer the service must reproduce for `request`: a
-/// singleton sweep for reserve-grid requests (on a planner built at the
-/// request's resolution, which has the same fronts), `Planner::plan` for
-/// sequence-DP requests.
-fn serial_reference(planner: &Planner, baseline: f64, request: &PlanRequest) -> DeploymentPlan {
-    if request.solver() != Solver::ReserveGrid {
-        return planner.plan(request).expect("serial plan solves");
-    }
-    let window = match request.budget() {
-        QosBudget::Window(window) => window,
-        QosBudget::Slack(slack) => qos_window(baseline, slack),
-        other => panic!("unexpected budget {other:?}"),
-    };
-    let resolution = request
-        .dp_resolution()
-        .unwrap_or(planner.config().dp_resolution);
-    Planner::new(
-        planner.model(),
-        &planner.config().clone().with_dp_resolution(resolution),
-    )
-    .expect("planner builds")
-    .sweep([window])
-    .expect("singleton sweep solves")
-    .remove(0)
-}
-
 #[test]
 fn service_is_bit_identical_to_serial_references_under_contention() {
     let planner = planner();
@@ -72,7 +42,7 @@ fn service_is_bit_identical_to_serial_references_under_contention() {
     // Serial references, computed before any service exists.
     let references: Vec<_> = pool
         .iter()
-        .map(|request| serial_reference(&planner, baseline, request))
+        .map(|request| planner.plan(request).expect("serial plan solves"))
         .collect();
 
     let mut service =
@@ -191,10 +161,9 @@ fn swept_mode_is_bit_identical_to_singleton_sweeps_under_contention() {
 }
 
 #[test]
-fn swept_plans_agree_with_exact_plans_within_the_documented_bound() {
+fn served_plans_equal_serial_plans() {
     let planner = planner();
     let baseline = planner.baseline_latency().expect("baseline runs");
-    let gated = planner.config().power.clock_gated_power.as_f64();
     let windows: Vec<f64> = (0..6)
         .map(|i| qos_window(baseline, 0.1 + 0.15 * i as f64))
         .collect();
@@ -210,16 +179,10 @@ fn swept_plans_agree_with_exact_plans_within_the_documented_bound() {
     });
     for (plan, &qos) in plans.iter().zip(&windows) {
         assert!(plan.predicted_latency_secs <= qos + 1e-12);
-        let exact = planner.plan(&PlanRequest::qos(qos)).expect("serial solves");
-        let window_energy = |latency: f64, energy: f64| energy + gated * (qos - latency);
-        let swept = window_energy(plan.predicted_latency_secs, plan.predicted_energy.as_f64());
-        let serial = window_energy(
-            exact.predicted_latency_secs,
-            exact.predicted_energy.as_f64(),
-        );
-        assert!(
-            swept <= serial * 1.005,
-            "swept answer materially worse than Planner::plan at {qos}: {swept} vs {serial}"
+        let serial = planner.plan(&PlanRequest::qos(qos)).expect("serial solves");
+        assert_eq!(
+            **plan, serial,
+            "served answer differs from Planner::plan at {qos}"
         );
     }
 }

@@ -1013,13 +1013,16 @@ proptest! {
     /// fresh `DeploymentPlan::to_artifact(..).to_json()` rendering of
     /// the plan it carries. This is the zero-serialization contract:
     /// the bytes rendered once at solve time *are* the canonical
-    /// serialization, not an approximation of it.
+    /// serialization, not an approximation of it. A cold answer must
+    /// also be the rendering of `Planner::plan` for the same request, so
+    /// a key has one answer whether it is planned or served.
     #[test]
     fn served_bytes_are_the_fresh_artifact_rendering_on_every_path(
         steps in prop::collection::vec(2u8..19, 1..4),
     ) {
         use std::sync::atomic::{AtomicU64, Ordering};
-        use dae_dvfs::{PlanRegistry, PlanRequest, PlanService, ServedPlan, ServiceConfig};
+        use dae_dvfs::{PlanRegistry, PlanRequest, PlanService, ServedPlan, ServiceConfig, Solver};
+        use tinyengine::qos_window;
 
         // Each case spins up two services and a real on-disk registry;
         // six sampled inputs cover the property, 128 would just burn CI.
@@ -1029,9 +1032,22 @@ proptest! {
             return;
         }
         let planner = serving_planner();
+        let baseline = planner.baseline_latency().expect("baseline lowers");
+        // The request form rotates across cases, so the sampled cases
+        // cover slack and absolute-window budgets on the reserve grid and
+        // the sequence DP. The absolute windows sit between two drawn
+        // slacks, so they never alias a slack request.
         let requests: Vec<PlanRequest> = steps
             .iter()
-            .map(|&s| PlanRequest::slack(0.05 * f64::from(s)))
+            .enumerate()
+            .map(|(i, &s)| {
+                let slack = 0.05 * f64::from(s);
+                match (case as usize + i) % 3 {
+                    0 => PlanRequest::slack(slack),
+                    1 => PlanRequest::qos(qos_window(baseline, slack + 0.025)),
+                    _ => PlanRequest::slack(slack).with_solver(Solver::SequenceDp),
+                }
+            })
             .collect();
         let dir = std::env::temp_dir().join(format!(
             "dae-dvfs-prop-{}-{case}",
@@ -1052,8 +1068,14 @@ proptest! {
                 .iter()
                 .map(|r| svc.plan_served(key, r).expect("cold request solves"))
                 .collect();
-            for served in &cold {
+            for (request, served) in requests.iter().zip(&cold) {
                 prop_assert_eq!(&**served.bytes(), fresh(served).as_slice());
+                // The service answers a key with the bytes `plan` renders.
+                let planned = planner.plan(request).expect("plan solves");
+                prop_assert_eq!(
+                    &**served.bytes(),
+                    planned.to_artifact(&planner).to_json().as_bytes()
+                );
             }
             for (request, cold) in requests.iter().zip(&cold) {
                 let hit = svc.plan_served(key, request).expect("warm hit answers");
