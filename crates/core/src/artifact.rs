@@ -243,62 +243,71 @@ impl PlanArtifact {
     }
 
     /// Serializes the artifact to its JSON schema.
+    ///
+    /// Every field is written straight into one buffer, sized up front
+    /// for the names plus a fixed allowance per decision, so rendering a
+    /// served plan never reallocates.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + 256 * self.decisions.len());
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"artifact\": \"{ARTIFACT_KIND}\",");
-        let _ = writeln!(out, "  \"schema_version\": {},", self.schema_version);
-        let _ = writeln!(out, "  \"target\": {},", json_quote(&self.target));
-        let _ = writeln!(out, "  \"model\": {},", json_quote(&self.model));
-        let _ = writeln!(
+        let names = self.target.len()
+            + self.model.len()
+            + self.decisions.iter().map(|d| d.layer.len()).sum::<usize>();
+        // The names, 512 bytes for the rest of the header and footer, and
+        // per decision 320 bytes for its keys, integers and three floats
+        // of up to 27 characters: a 21-layer artifact (5.8 KB) fits.
+        let mut out = String::with_capacity(512 + names + 320 * self.decisions.len());
+        out.push_str("{\n  \"artifact\": \"");
+        out.push_str(ARTIFACT_KIND);
+        let _ = write!(out, "\",\n  \"schema_version\": {}", self.schema_version);
+        out.push_str(",\n  \"target\": ");
+        push_json_quoted(&mut out, &self.target);
+        out.push_str(",\n  \"model\": ");
+        push_json_quoted(&mut out, &self.model);
+        let _ = write!(
             out,
-            "  \"model_fingerprint\": \"{:016x}\",",
-            self.model_fingerprint
+            ",\n  \"model_fingerprint\": \"{:016x}\",\n  \"config_fingerprint\": \"{:016x}\"",
+            self.model_fingerprint, self.config_fingerprint
         );
-        let _ = writeln!(
-            out,
-            "  \"config_fingerprint\": \"{:016x}\",",
-            self.config_fingerprint
-        );
-        let _ = writeln!(out, "  \"qos_secs\": {},", json_f64(self.qos_secs));
-        let _ = writeln!(
-            out,
-            "  \"predicted_latency_secs\": {},",
-            json_f64(self.predicted_latency_secs)
-        );
-        let _ = writeln!(
-            out,
-            "  \"predicted_energy_j\": {},",
-            json_f64(self.predicted_energy_j)
-        );
-        out.push_str("  \"decisions\": [\n");
+        out.push_str(",\n  \"qos_secs\": ");
+        push_json_f64(&mut out, self.qos_secs);
+        out.push_str(",\n  \"predicted_latency_secs\": ");
+        push_json_f64(&mut out, self.predicted_latency_secs);
+        out.push_str(",\n  \"predicted_energy_j\": ");
+        push_json_f64(&mut out, self.predicted_energy_j);
+        out.push_str(",\n  \"decisions\": [\n");
         for (i, d) in self.decisions.iter().enumerate() {
-            let source = match d.hfo.source() {
-                ClockSource::Hsi => "\"source\": \"hsi\", \"source_hz\": 0".to_string(),
-                ClockSource::Hse(f) => {
-                    format!("\"source\": \"hse\", \"source_hz\": {}", f.as_u64())
-                }
-            };
+            out.push_str("    {\"layer\": ");
+            push_json_quoted(&mut out, &d.layer);
             let _ = write!(
                 out,
-                "    {{\"layer\": {}, \"kind\": \"{}\", \"granularity\": {}, {source}, \
-                 \"pllm\": {}, \"plln\": {}, \"pllp\": {}, \"latency_secs\": {}, \
-                 \"energy_j\": {}, \"switches\": {}, \"first_stage_secs\": {}}}",
-                json_quote(&d.layer),
-                d.kind,
-                d.granularity,
+                ", \"kind\": \"{}\", \"granularity\": {}, ",
+                d.kind, d.granularity
+            );
+            match d.hfo.source() {
+                ClockSource::Hsi => out.push_str("\"source\": \"hsi\", \"source_hz\": 0"),
+                ClockSource::Hse(f) => {
+                    let _ = write!(out, "\"source\": \"hse\", \"source_hz\": {}", f.as_u64());
+                }
+            }
+            let _ = write!(
+                out,
+                ", \"pllm\": {}, \"plln\": {}, \"pllp\": {}, \"latency_secs\": ",
                 d.hfo.pllm(),
                 d.hfo.plln(),
-                d.hfo.pllp(),
-                json_f64(d.latency_secs),
-                json_f64(d.energy_j),
-                d.switches,
-                json_f64(d.first_stage_secs),
+                d.hfo.pllp()
             );
+            push_json_f64(&mut out, d.latency_secs);
+            out.push_str(", \"energy_j\": ");
+            push_json_f64(&mut out, d.energy_j);
+            let _ = write!(
+                out,
+                ", \"switches\": {}, \"first_stage_secs\": ",
+                d.switches
+            );
+            push_json_f64(&mut out, d.first_stage_secs);
             out.push_str(if i + 1 < self.decisions.len() {
-                ",\n"
+                "},\n"
             } else {
-                "\n"
+                "}\n"
             });
         }
         out.push_str("  ]\n}\n");
@@ -393,8 +402,8 @@ impl DeploymentPlan {
         PlanArtifact::from_plan(
             self,
             planner.target().id(),
-            model_fingerprint(&planner.model().name, planner.layers()),
-            config_fingerprint(planner.config()),
+            planner.model_fingerprint(),
+            planner.config_fingerprint(),
         )
     }
 
@@ -439,7 +448,7 @@ impl DeploymentPlan {
                 artifact.model.clone(),
             );
         }
-        let expected_model = model_fingerprint(&planner.model().name, planner.layers());
+        let expected_model = planner.model_fingerprint();
         if artifact.model_fingerprint != expected_model {
             return mismatch(
                 "model_fingerprint",
@@ -447,7 +456,7 @@ impl DeploymentPlan {
                 format!("{:016x}", artifact.model_fingerprint),
             );
         }
-        let expected_config = config_fingerprint(planner.config());
+        let expected_config = planner.config_fingerprint();
         if artifact.config_fingerprint != expected_config {
             return mismatch(
                 "config_fingerprint",
@@ -479,6 +488,13 @@ fn parse_err(reason: String) -> DaeDvfsError {
 /// rules cannot diverge.
 pub fn json_quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    push_json_quoted(&mut out, s);
+    out
+}
+
+/// Appends `s` to `out`, escaped and quoted for JSON: the one escaping
+/// rule behind [`json_quote`] and the artifact writer.
+fn push_json_quoted(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -494,17 +510,16 @@ pub fn json_quote(s: &str) -> String {
         }
     }
     out.push('"');
-    out
 }
 
-/// Formats a finite `f64` so that parsing the text recovers the exact bit
+/// Appends a finite `f64` so that parsing the text recovers the exact bit
 /// pattern (Rust's `Display` is shortest-round-trip). Always includes a
 /// decimal point or exponent-free integer form acceptable to JSON.
-fn json_f64(v: f64) -> String {
+fn push_json_f64(out: &mut String, v: f64) {
     debug_assert!(v.is_finite(), "plan artifacts require finite values");
     // `Display` prints integral floats without a fraction ("3"), which is
     // valid JSON; negative zero round-trips as "-0".
-    format!("{v}")
+    let _ = write!(out, "{v}");
 }
 
 /// The minimal JSON subset parser behind [`PlanArtifact::from_json`]:
@@ -897,6 +912,83 @@ mod tests {
             plan.predicted_energy.as_f64().to_bits()
         );
         assert_eq!(back.decisions, plan.decisions);
+    }
+
+    /// An artifact whose names need every escape class and whose floats
+    /// cover the formatter's edge cases (signed zero, an integral value,
+    /// a 1e-300 magnitude, non-representable decimals).
+    fn escape_artifact() -> PlanArtifact {
+        PlanArtifact {
+            schema_version: PLAN_ARTIFACT_SCHEMA_VERSION,
+            target: "board \"q\" \\ tab\there\nU+0001:\u{1}\r é".into(),
+            model: "modèle\\\"m\"\n漢字 🎛".into(),
+            model_fingerprint: 0x0123_4567_89ab_cdef,
+            config_fingerprint: 0xfedc_ba98_7654_3210,
+            qos_secs: 0.1,
+            predicted_latency_secs: 3.0,
+            predicted_energy_j: -0.0,
+            decisions: vec![
+                ArtifactDecision {
+                    layer: "dw\t0 \"a\\b\"\n\u{1}\u{1f}Ω".into(),
+                    kind: LayerKind::Depthwise,
+                    granularity: 4,
+                    hfo: PllConfig::new(ClockSource::Hsi, 8, 216, 2).expect("valid"),
+                    latency_secs: 1e-300,
+                    energy_j: 0.1 + 0.2,
+                    switches: 3,
+                    first_stage_secs: 0.0,
+                },
+                ArtifactDecision {
+                    layer: "pw1 ü".into(),
+                    kind: LayerKind::Pointwise,
+                    granularity: 8,
+                    hfo: pll(150),
+                    latency_secs: 1.2345678901234567e-3,
+                    energy_j: 7.0e-5,
+                    switches: u64::MAX,
+                    first_stage_secs: 3.3e-6,
+                },
+            ],
+        }
+    }
+
+    #[test]
+    fn writer_bytes_are_pinned() {
+        let artifact = escape_artifact();
+        let expected = concat!(
+            "{\n",
+            "  \"artifact\": \"dae-dvfs-deployment-plan\",\n",
+            "  \"schema_version\": 1,\n",
+            "  \"target\": \"board \\\"q\\\" \\\\ tab\\there\\nU+0001:\\u0001\\r é\",\n",
+            "  \"model\": \"modèle\\\\\\\"m\\\"\\n漢字 🎛\",\n",
+            "  \"model_fingerprint\": \"0123456789abcdef\",\n",
+            "  \"config_fingerprint\": \"fedcba9876543210\",\n",
+            "  \"qos_secs\": 0.1,\n",
+            "  \"predicted_latency_secs\": 3,\n",
+            "  \"predicted_energy_j\": -0,\n",
+            "  \"decisions\": [\n",
+            "    {\"layer\": \"dw\\t0 \\\"a\\\\b\\\"\\n\\u0001\\u001fΩ\"",
+            ", \"kind\": \"depthwise\", \"granularity\": 4, \"source\": \"hsi\"",
+            ", \"source_hz\": 0, \"pllm\": 8, \"plln\": 216, \"pllp\": 2",
+            ", \"latency_secs\": 0.0000000000000000000000000000000000000000000000000000",
+            "000000000000000000000000000000000000000000000000000000000000000000000000",
+            "000000000000000000000000000000000000000000000000000000000000000000000000",
+            "000000000000000000000000000000000000000000000000000000000000000000000000",
+            "00000000000000000000000000000001",
+            ", \"energy_j\": 0.30000000000000004, \"switches\": 3",
+            ", \"first_stage_secs\": 0},\n",
+            "    {\"layer\": \"pw1 ü\", \"kind\": \"pointwise\", \"granularity\": 8",
+            ", \"source\": \"hse\", \"source_hz\": 50000000, \"pllm\": 25",
+            ", \"plln\": 150, \"pllp\": 2",
+            ", \"latency_secs\": 0.0012345678901234567, \"energy_j\": 0.00007",
+            ", \"switches\": 18446744073709551615",
+            ", \"first_stage_secs\": 0.0000033}\n",
+            "  ]\n",
+            "}\n",
+        );
+        let text = artifact.to_json();
+        assert_eq!(text, expected);
+        assert_eq!(PlanArtifact::from_json(&text).expect("parses"), artifact);
     }
 
     #[test]

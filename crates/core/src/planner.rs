@@ -17,6 +17,7 @@ use stm32_power::{Joules, PowerModel};
 use tinyengine::{qos_window, LoweredModel};
 use tinynn::Model;
 
+use crate::artifact::{config_fingerprint, model_fingerprint};
 use crate::dse::{DseConfig, DsePoint};
 use crate::error::DaeDvfsError;
 use crate::mckp::{MckpError, MckpItem};
@@ -68,7 +69,17 @@ pub struct Planner {
     /// Per layer, the fastest Pareto point: the relock-free selection
     /// every reserve-grid search keeps as its always-feasible candidate.
     fastest: Vec<usize>,
-    baseline: OnceLock<LoweredModel>,
+    /// [`model_fingerprint`] and [`config_fingerprint`] of this planner,
+    /// computed once at construction: every artifact, registry entry and
+    /// cache key reads them from here.
+    model_fingerprint: u64,
+    config_fingerprint: u64,
+    /// The baseline lowering and its replayed latency, computed together
+    /// on first use; a lowering error is returned again on the next call.
+    baseline: OnceLock<(LoweredModel, f64)>,
+    /// `std::thread::available_parallelism`, read once at construction:
+    /// sizes the workspace pool and caps the extraction striping.
+    parallelism: usize,
     /// Pool of reusable flat DP buffers shared by every solver call on
     /// this planner; concurrent solves check out distinct workspaces, so
     /// contended callers still reuse warmed buffers instead of allocating
@@ -170,8 +181,13 @@ impl Planner {
                     .expect("fronts are non-empty")
             })
             .collect();
+        let parallelism = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
         Ok(Planner {
             target,
+            model_fingerprint: model_fingerprint(&model.name, &layers),
+            config_fingerprint: config_fingerprint(&config),
             model: model.clone(),
             config,
             power,
@@ -181,7 +197,8 @@ impl Planner {
             costs,
             fastest,
             baseline: OnceLock::new(),
-            workspace: WorkspacePool::for_parallelism(),
+            parallelism,
+            workspace: WorkspacePool::new(parallelism),
         })
     }
 
@@ -217,6 +234,16 @@ impl Planner {
         &self.power
     }
 
+    /// [`model_fingerprint`] of this planner's model and compiled layers.
+    pub(crate) fn model_fingerprint(&self) -> u64 {
+        self.model_fingerprint
+    }
+
+    /// [`config_fingerprint`] of this planner's configuration.
+    pub(crate) fn config_fingerprint(&self) -> u64 {
+        self.config_fingerprint
+    }
+
     /// The target's baseline lowering of this model, compiled once and
     /// cached (TinyEngine at 216 MHz on the F767; the target's fastest HFO
     /// elsewhere).
@@ -226,26 +253,33 @@ impl Planner {
     /// Propagates baseline lowering errors (e.g. SRAM budget overflows the
     /// DAE path does not check).
     pub fn baseline(&self) -> Result<&LoweredModel, DaeDvfsError> {
-        if let Some(lowered) = self.baseline.get() {
-            return Ok(lowered);
-        }
-        let lowered = self.target.compile_baseline(&self.model)?;
-        // A concurrent caller may have won the race; either value is
-        // identical, so the set result is irrelevant.
-        let _ = self.baseline.set(lowered);
-        Ok(self.baseline.get().expect("baseline just initialized"))
+        self.lowered_baseline().map(|(lowered, _)| lowered)
     }
 
     /// The baseline inference latency at the target's fixed baseline
-    /// clock, priced on the target's machine substrate.
+    /// clock, priced on the target's machine substrate. Replayed once,
+    /// together with the baseline lowering, and cached.
     ///
     /// # Errors
     ///
     /// Same conditions as [`Planner::baseline`].
     pub fn baseline_latency(&self) -> Result<f64, DaeDvfsError> {
-        let lowered = self.baseline()?;
+        self.lowered_baseline().map(|&(_, latency)| latency)
+    }
+
+    /// The cached baseline lowering and its replayed latency, computed on
+    /// first success.
+    fn lowered_baseline(&self) -> Result<&(LoweredModel, f64), DaeDvfsError> {
+        if let Some(baseline) = self.baseline.get() {
+            return Ok(baseline);
+        }
+        let lowered = self.target.compile_baseline(&self.model)?;
         let mut machine = self.target.baseline_machine(*lowered.clock());
-        Ok(lowered.run_on(&mut machine).total_time_secs)
+        let latency = lowered.run_on(&mut machine).total_time_secs;
+        // A concurrent caller may have won the race; either value is
+        // identical, so the set result is irrelevant.
+        let _ = self.baseline.set((lowered, latency));
+        Ok(self.baseline.get().expect("baseline just initialized"))
     }
 
     fn build_decisions(&self, choices: &[usize]) -> Vec<LayerDecision> {
@@ -624,11 +658,7 @@ impl Planner {
         let mut ws = self.workspace.take();
         let solved = match mckp_resweep(&self.classes, budgets, resolution, &mut ws) {
             Ok(table) => {
-                let threads = std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-                    .min(max_threads.max(1))
-                    .min(targets.len());
+                let threads = self.parallelism.min(max_threads.max(1)).min(targets.len());
                 let search = |&(i, qos): &(usize, f64)| {
                     (i, self.search_reserve_grid(qos, resolution, &table))
                 };
@@ -720,10 +750,108 @@ impl Planner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tinynn::models::vww;
+    use crate::modes::OperatingModes;
+    use crate::target::GenericCortexMTarget;
+    use stm32_rcc::{Hertz, SwitchCostModel};
+    use tinynn::models::{self, vww};
 
     fn vww_planner() -> Planner {
         Planner::new(&vww(), &DseConfig::paper()).unwrap()
+    }
+
+    /// `model` on a lean Cortex-M ladder (50 MHz LFO; 80, 120 and
+    /// 160 MHz HFOs).
+    fn lean_planner(model: &Model) -> Planner {
+        let modes = OperatingModes::from_sysclks(
+            Hertz::mhz(50),
+            Hertz::mhz(50),
+            &[Hertz::mhz(80), Hertz::mhz(120), Hertz::mhz(160)],
+        )
+        .unwrap();
+        let target = GenericCortexMTarget::new("cortex-m-lean").with_modes(modes);
+        Planner::for_target(target, model).unwrap()
+    }
+
+    /// The planners `tests/plan_goldens.rs` pins: the paper models on the
+    /// F767, VWW-32 and PD-32 on the lean ladder, and VWW-32 on the F767
+    /// with a 1 ms PLL re-lock.
+    fn golden_planners() -> Vec<Planner> {
+        let relock = DseConfig::paper().with_switch_model(SwitchCostModel::new(1e-3, 1e-6));
+        vec![
+            Planner::new(&vww(), &DseConfig::paper()).unwrap(),
+            Planner::new(&models::person_detection(), &DseConfig::paper()).unwrap(),
+            Planner::new(&models::mobilenet_v2(), &DseConfig::paper()).unwrap(),
+            lean_planner(&models::vww_sized(32)),
+            lean_planner(&models::person_detection_sized(32)),
+            Planner::for_target(Stm32F767Target::with_config(relock), &models::vww_sized(32))
+                .unwrap(),
+        ]
+    }
+
+    #[test]
+    fn cached_constants_equal_their_definitions() {
+        for planner in golden_planners() {
+            let name = &planner.model().name;
+            let model_fp = model_fingerprint(name, planner.layers());
+            let config_fp = config_fingerprint(planner.config());
+            assert_eq!(planner.model_fingerprint(), model_fp, "{name}");
+            assert_eq!(planner.config_fingerprint(), config_fp, "{name}");
+
+            // A fresh lowering replayed on a fresh baseline machine.
+            let lowered = planner.target().compile_baseline(planner.model()).unwrap();
+            let fresh = lowered
+                .run_on(&mut planner.target().baseline_machine(*lowered.clock()))
+                .total_time_secs;
+            for _ in 0..2 {
+                let cached = planner.baseline_latency().unwrap();
+                assert_eq!(cached.to_bits(), fresh.to_bits(), "{name}");
+            }
+
+            let plan = planner.plan(&PlanRequest::slack(0.3)).unwrap();
+            let artifact = plan.to_artifact(&planner);
+            assert_eq!(
+                (artifact.model_fingerprint, artifact.config_fingerprint),
+                (model_fp, config_fp),
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_window_just_below_a_served_latency_is_met_or_infeasible() {
+        // Re-planning 5e-7 (relative) below a served plan's latency rules
+        // that plan out: the answer must be a different plan that fits,
+        // or a typed infeasibility — never a plan that overruns by less
+        // than a rounding slop. Full-size VWW on the F767 has windows
+        // where the served selection is revisited at the tighter window.
+        let planners = [
+            vww_planner(),
+            Planner::new(&models::person_detection_sized(32), &DseConfig::paper()).unwrap(),
+            lean_planner(&models::vww_sized(32)),
+        ];
+        for planner in &planners {
+            let baseline = planner.baseline_latency().unwrap();
+            for slack in (0..=50).map(|i| f64::from(i) * 0.02) {
+                for solver in [Solver::ReserveGrid, Solver::SequenceDp] {
+                    let request = PlanRequest::qos(qos_window(baseline, slack)).with_solver(solver);
+                    let served = planner.plan(&request).unwrap();
+                    let tight = served.predicted_latency_secs * (1.0 - 5e-7);
+                    match planner.plan(&PlanRequest::qos(tight).with_solver(solver)) {
+                        Ok(plan) => {
+                            assert_eq!(plan.qos_secs, tight);
+                            assert!(
+                                plan.predicted_latency_secs <= tight,
+                                "{} {solver:?} at slack {slack}: {} > {tight}",
+                                planner.model().name,
+                                plan.predicted_latency_secs
+                            );
+                        }
+                        Err(DaeDvfsError::Qos(MckpError::Infeasible { .. })) => {}
+                        Err(other) => panic!("expected a plan or Infeasible, got {other:?}"),
+                    }
+                }
+            }
+        }
     }
 
     /// Inference energy plus clock-gated idling to the end of the window:

@@ -270,7 +270,13 @@ impl PlanRegistry {
     pub(crate) fn load(&self, key: PlanKey, planner: &Planner) -> Option<ServedPlan> {
         let path = self.entry_path(key);
         let text = fs::read_to_string(&path).ok()?;
-        match Self::decode_entry(&text, Some(key), planner) {
+        let checked = Self::decode_entry(&text).and_then(|(stored, artifact)| {
+            if stored != key {
+                return Err("envelope key does not match the lookup key".to_string());
+            }
+            Self::validate_entry(stored, &artifact, planner).map(|plan| (plan, artifact))
+        });
+        match checked {
             Ok((plan, artifact)) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 let bytes: Arc<[u8]> = artifact.to_json().into_bytes().into();
@@ -283,24 +289,16 @@ impl PlanRegistry {
         }
     }
 
-    /// Decodes and validates one envelope. With `expected` the entry must
-    /// match that key exactly; without it the key is reconstructed from
-    /// the envelope (startup re-validation, where the filename supplies
-    /// the expected address). Returns the validated plan together with
-    /// the decoded artifact (so a load can render the canonical bytes
-    /// without re-reading the file) and never panics — every failure is
-    /// a typed reason used only to decide quarantine.
-    fn decode_entry(
-        text: &str,
-        expected: Option<PlanKey>,
+    /// Validates a decoded entry against the planner that would serve it:
+    /// the artifact must carry the key's canonical window and pass
+    /// [`DeploymentPlan::from_artifact`]. Shared by [`PlanRegistry::load`]
+    /// and startup re-validation; never panics — every failure is a
+    /// typed reason used only to decide quarantine.
+    fn validate_entry(
+        key: PlanKey,
+        artifact: &PlanArtifact,
         planner: &Planner,
-    ) -> Result<(DeploymentPlan, PlanArtifact), String> {
-        let (key, artifact) = Self::decode_envelope(text)?;
-        if let Some(expected) = expected {
-            if key != expected {
-                return Err("envelope key does not match the lookup key".into());
-            }
-        }
+    ) -> Result<DeploymentPlan, String> {
         if artifact.qos_secs.to_bits() != key.window_bits {
             // The stored plan must carry the *canonical* window — the
             // same slack-resolution + quantum snapping the in-memory hit
@@ -308,13 +306,12 @@ impl PlanRegistry {
             // bit-identical to the originally served artifact.
             return Err("artifact qos_secs does not match the canonical window bits".into());
         }
-        DeploymentPlan::from_artifact(&artifact, planner)
-            .map(|plan| (plan, artifact))
-            .map_err(|e| e.to_string())
+        DeploymentPlan::from_artifact(artifact, planner).map_err(|e| e.to_string())
     }
 
-    /// Parses the envelope into its reconstructed key and artifact.
-    fn decode_envelope(text: &str) -> Result<(PlanKey, PlanArtifact), String> {
+    /// Parses an entry's envelope into its reconstructed key and artifact
+    /// (the one JSON parse an entry gets per load or re-validation).
+    fn decode_entry(text: &str) -> Result<(PlanKey, PlanArtifact), String> {
         let value = json::parse(text).map_err(|e| e.to_string())?;
         let obj = value
             .as_object("registry entry")
@@ -379,8 +376,9 @@ impl PlanRegistry {
     }
 
     /// Startup re-validation: replays every stored entry through
-    /// [`DeploymentPlan::from_artifact`] against the registered planners
-    /// (given as `(model_fingerprint, config_fingerprint, planner)`).
+    /// [`DeploymentPlan::from_artifact`] against the registered planners,
+    /// matched by the fingerprints each planner computed at construction.
+    /// Each entry is parsed once.
     ///
     /// Entries that fail to decode, whose filename disagrees with their
     /// recomputed content address, whose artifact window disagrees with
@@ -395,16 +393,13 @@ impl PlanRegistry {
     ///
     /// [`RegistryError::Io`] when the registry directory cannot be read;
     /// individual bad entries quarantine instead of erroring.
-    pub(crate) fn revalidate(
-        &self,
-        planners: &[(u64, u64, &Planner)],
-    ) -> Result<(), RegistryError> {
+    pub(crate) fn revalidate(&self, planners: &[&Planner]) -> Result<(), RegistryError> {
         for path in self.entry_paths()? {
             let Ok(text) = fs::read_to_string(&path) else {
                 self.quarantine(&path);
                 continue;
             };
-            let (key, _artifact) = match Self::decode_envelope(&text) {
+            let (key, artifact) = match Self::decode_entry(&text) {
                 Ok(decoded) => decoded,
                 Err(_) => {
                     self.quarantine(&path);
@@ -416,11 +411,12 @@ impl PlanRegistry {
                 self.quarantine(&path);
                 continue;
             }
-            let served_by = planners.iter().find(|(model, config, _)| {
-                *model == key.model_fingerprint && *config == key.config_fingerprint
+            let served_by = planners.iter().find(|planner| {
+                planner.model_fingerprint() == key.model_fingerprint
+                    && planner.config_fingerprint() == key.config_fingerprint
             });
-            if let Some((_, _, planner)) = served_by {
-                if Self::decode_entry(&text, Some(key), planner).is_err() {
+            if let Some(planner) = served_by {
+                if Self::validate_entry(key, &artifact, planner).is_err() {
                     self.quarantine(&path);
                 }
             }
@@ -496,10 +492,7 @@ mod tests {
             registry.store(key, &artifact).expect("stores");
         }
         let reopened = PlanRegistry::open(&dir).expect("reopens");
-        let fingerprints = (key.model_fingerprint, key.config_fingerprint);
-        reopened
-            .revalidate(&[(fingerprints.0, fingerprints.1, &planner)])
-            .expect("revalidates");
+        reopened.revalidate(&[&planner]).expect("revalidates");
         assert_eq!(reopened.stats().quarantined, 0);
         let loaded = reopened.load(key, &planner).expect("loads");
         assert_eq!(
@@ -548,9 +541,7 @@ mod tests {
         let paths = registry.entry_paths().expect("lists");
         let wrong = dir.join("0000000000000000.json");
         fs::rename(&paths[0], &wrong).expect("renames");
-        registry
-            .revalidate(&[(key.model_fingerprint, key.config_fingerprint, &planner)])
-            .expect("revalidates");
+        registry.revalidate(&[&planner]).expect("revalidates");
         assert_eq!(registry.stats().quarantined, 1);
         assert_eq!(registry.entries().expect("counts"), 0);
         assert!(dir

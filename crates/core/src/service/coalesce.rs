@@ -3,9 +3,9 @@
 //!
 //! Canonicalization turns an arbitrary [`PlanRequest`] into the identity
 //! the cache and coalescer operate on: slack budgets are resolved to
-//! absolute windows against the planner's (cached) baseline, the window
-//! is snapped **down** onto the service's QoS quantum, and the solver and
-//! DP resolution are made explicit. Snapping down means the plan solved
+//! absolute windows against the planner's cached baseline latency, the
+//! window is snapped **down** onto the service's QoS quantum, and the
+//! solver and DP resolution are made explicit. Snapping down means the plan solved
 //! for the canonical window is always feasible for the original request
 //! (`latency ≤ canonical window ≤ requested window`), so sharing one
 //! entry across a quantum's worth of near-identical windows never breaks
@@ -50,12 +50,12 @@ pub(crate) struct CanonicalRequest {
 /// lowering errors while resolving a slack budget.
 pub(crate) fn canonicalize(
     planner: &Planner,
-    model_fingerprint: u64,
-    config_fingerprint: u64,
     request: &PlanRequest,
     quantum_secs: f64,
 ) -> Result<CanonicalRequest, DaeDvfsError> {
     request.validate()?;
+    let model_fingerprint = planner.model_fingerprint();
+    let config_fingerprint = planner.config_fingerprint();
     let window = match request.budget() {
         QosBudget::Window(qos) => qos,
         QosBudget::Slack(slack) => qos_window(planner.baseline_latency()?, slack),

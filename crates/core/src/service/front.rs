@@ -18,7 +18,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::artifact::{config_fingerprint, model_fingerprint};
 use crate::error::{DaeDvfsError, RegistryError, ServiceError};
 use crate::obs::{self, PathStamp, Receipt, ServePath};
 use crate::pipeline::DeploymentPlan;
@@ -38,13 +37,6 @@ use crate::sync::{lock, rank, wait, wait_timeout, RankedCondvar, RankedMutex};
 /// case it addresses that service's planner at the same position).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlannerKey(pub(crate) usize);
-
-#[derive(Debug)]
-struct Registered {
-    planner: Arc<Planner>,
-    model_fingerprint: u64,
-    config_fingerprint: u64,
-}
 
 /// One admitted request waiting in the queue (always a cache-miss
 /// *leader*; hits and joiners never occupy queue slots).
@@ -313,7 +305,14 @@ impl ServiceStats {
 #[derive(Debug)]
 pub struct PlanService {
     config: ServiceConfig,
-    planners: Vec<Registered>,
+    /// Worker threads [`PlanService::run`] spawns, resolved once in
+    /// [`PlanService::new`].
+    workers: usize,
+    /// Each batch's share of the machine for extraction striping
+    /// (available parallelism over `workers`, at least 1), resolved once
+    /// in [`PlanService::new`].
+    sweep_threads: usize,
+    planners: Vec<Arc<Planner>>,
     cache: PlanCache<Arc<TicketInner>>,
     /// The persistent cold tier, when attached: consulted by workers on
     /// every cache miss before solving, written through after every
@@ -373,9 +372,21 @@ impl PlanService {
     /// [`ServiceConfig`] field for degenerate configurations.
     pub fn new(config: ServiceConfig) -> Result<Self, DaeDvfsError> {
         config.validate()?;
+        let parallelism = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
+        let workers = match config.workers {
+            0 => parallelism,
+            n => n,
+        };
         Ok(PlanService {
             cache: PlanCache::new(config.cache_capacity, config.cache_shards),
             config,
+            workers,
+            // The workers already provide batch-level parallelism, so each
+            // batch stripes its extractions over its share only, which
+            // avoids oversubscribing the machine.
+            sweep_threads: (parallelism / workers).max(1),
             planners: Vec::new(),
             registry: None,
             queue: RankedMutex::new(
@@ -396,24 +407,19 @@ impl PlanService {
         })
     }
 
-    /// Registers a planner and returns its submission key. Fingerprints
-    /// are derived here, once — two planners built from the same model
-    /// and board configuration get equal fingerprints and therefore
-    /// share cache entries and coalesced batches.
+    /// Registers a planner and returns its submission key. Requests are
+    /// keyed by the fingerprints the planner computed at construction —
+    /// two planners built from the same model and board configuration
+    /// get equal fingerprints and therefore share cache entries and
+    /// coalesced batches.
     pub fn register(&mut self, planner: Arc<Planner>) -> PlannerKey {
-        let model_fingerprint = model_fingerprint(&planner.model().name, planner.layers());
-        let config_fingerprint = config_fingerprint(planner.config());
-        self.planners.push(Registered {
-            planner,
-            model_fingerprint,
-            config_fingerprint,
-        });
+        self.planners.push(planner);
         PlannerKey(self.planners.len() - 1)
     }
 
     /// The planner a key addresses, if it belongs to this service.
     pub fn planner(&self, key: PlannerKey) -> Option<&Arc<Planner>> {
-        self.planners.get(key.0).map(|r| &r.planner)
+        self.planners.get(key.0)
     }
 
     /// Attaches a persistent on-disk registry as the cold tier below the
@@ -429,17 +435,7 @@ impl PlanService {
     /// [`RegistryError::Io`] when the registry directory cannot be
     /// scanned; individual bad entries are quarantined, not errors.
     pub fn attach_registry(&mut self, registry: PlanRegistry) -> Result<(), RegistryError> {
-        let planners: Vec<(u64, u64, &Planner)> = self
-            .planners
-            .iter()
-            .map(|r| {
-                (
-                    r.model_fingerprint,
-                    r.config_fingerprint,
-                    r.planner.as_ref(),
-                )
-            })
-            .collect();
+        let planners: Vec<&Planner> = self.planners.iter().map(Arc::as_ref).collect();
         registry.revalidate(&planners)?;
         self.registry = Some(registry);
         Ok(())
@@ -477,7 +473,7 @@ impl PlanService {
         lock(&self.timing).current = Some(Instant::now());
         let _stop_serving = StopServingOnDrop(self);
         std::thread::scope(|s| {
-            for _ in 0..self.effective_workers() {
+            for _ in 0..self.workers {
                 s.spawn(|| self.worker_loop());
             }
             // The guard drains on unwind too: a panic in `f` must still
@@ -487,18 +483,6 @@ impl PlanService {
             drop(drain);
             out
         })
-    }
-
-    /// The number of worker threads [`PlanService::run`] spawns.
-    fn effective_workers(&self) -> usize {
-        let workers = if self.config.workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.config.workers
-        };
-        workers.max(1)
     }
 
     /// Submits a request; never blocks. On success the returned ticket
@@ -529,21 +513,15 @@ impl PlanService {
         key: PlannerKey,
         request: &PlanRequest,
     ) -> Result<(PlanTicket, PlanKey), ServiceError> {
-        let Some(registered) = self.planners.get(key.0) else {
+        let Some(planner) = self.planners.get(key.0) else {
             self.counters.rejected.fetch_add(1, Ordering::Relaxed);
             return Err(ServiceError::UnknownPlanner { key: key.0 });
         };
-        let canonical = canonicalize(
-            &registered.planner,
-            registered.model_fingerprint,
-            registered.config_fingerprint,
-            request,
-            self.config.qos_quantum_secs,
-        )
-        .map_err(|e| {
-            self.counters.rejected.fetch_add(1, Ordering::Relaxed);
-            ServiceError::Plan(e)
-        })?;
+        let canonical =
+            canonicalize(planner, request, self.config.qos_quantum_secs).map_err(|e| {
+                self.counters.rejected.fetch_add(1, Ordering::Relaxed);
+                ServiceError::Plan(e)
+            })?;
 
         // Fast path: completed hits are answered inline, without the
         // queue mutex, a ticket allocation, or a worker handoff — the
@@ -868,7 +846,7 @@ impl PlanService {
     /// and only the remainder pays for the coalesced solve, whose fresh
     /// plans are then written through to disk.
     fn solve(&self, batch: Vec<Pending>) {
-        let planner = &self.planners[batch[0].planner].planner;
+        let planner = &self.planners[batch[0].planner];
         let batch = match &self.registry {
             Some(registry) => {
                 let mut remaining = Vec::with_capacity(batch.len());
@@ -911,21 +889,18 @@ impl PlanService {
             .fetch_max(batch.len() as u64, Ordering::Relaxed);
         let group = batch[0].group;
         let windows: Vec<f64> = batch.iter().map(|p| p.window_secs).collect();
-        // Each worker gets its share of the machine for the swept path's
-        // extraction striping; the workers themselves already provide
-        // batch-level parallelism, so this avoids oversubscription.
-        let sweep_threads = (std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            / self.effective_workers())
-        .max(1);
         // A panicking solve must still release the batch's tickets (and
         // any joined waiters) before the panic unwinds the worker —
         // otherwise a submitter blocked in `PlanTicket::wait` inside the
         // serving closure would deadlock the scope's join.
         let solve_start = obs::monotonic_nanos();
         let results = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            planner.solve_distinct(group.solver, &windows, group.dp_resolution, sweep_threads)
+            planner.solve_distinct(
+                group.solver,
+                &windows,
+                group.dp_resolution,
+                self.sweep_threads,
+            )
         }));
         let solve_nanos = obs::monotonic_nanos().saturating_sub(solve_start);
         // Leaders of a shared solve are stamped with the batch they rode

@@ -166,15 +166,6 @@ impl WorkspacePool {
         }
     }
 
-    /// A pool sized to the machine's available parallelism — one retained
-    /// workspace per hardware thread that could be solving concurrently.
-    pub fn for_parallelism() -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        WorkspacePool::new(threads)
-    }
-
     /// Checks a workspace out of the pool (a fresh one when the pool is
     /// empty). Pair with [`WorkspacePool::put`], or use
     /// [`WorkspacePool::run`] for the scoped form.

@@ -83,8 +83,10 @@ fn malformed_request_lines_get_400_not_a_dead_server() {
             b"POST /v1/plan HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n",
             // RFC 9110 content-length is 1*DIGIT: a leading sign parses
             // under usize::parse but must be rejected, or this server
-            // disagrees with any stricter proxy in front of it.
-            b"POST /v1/plan HTTP/1.1\r\ncontent-length: +5\r\n\r\n{1:2}",
+            // disagrees with any stricter proxy in front of it. The body
+            // is a valid 32-byte plan request, so only the header rule
+            // can turn this into a 400.
+            b"POST /v1/plan HTTP/1.1\r\ncontent-length: +32\r\n\r\n{\"planner\": \"vww\", \"slack\": 0.3}",
             b"POST /v1/plan HTTP/1.1\r\ncontent-length: \r\n\r\n",
         ] {
             let response = raw_exchange(handle.addr(), garbage);
